@@ -1,10 +1,13 @@
 // Figure 5 reproduction: data-structure microbenchmarks under three
 // quiescence regimes —
 //   STM        : quiesce after every transaction (GCC >= 2016 default),
-//   NoQ        : no transaction quiesces (unsafe in general; kept faithful
-//                except that frees still wait, as GCC's allocator demands),
-//   SelectNoQ  : the paper's TM_NoQuiesce — reads/inserts skip quiescence,
-//                freeing removals quiesce.
+//   NoQ        : no transaction quiesces (unsafe in general); frees still
+//                wait out a grace period in limbo before the allocator
+//                gets them back,
+//   SelectNoQ  : the paper's TM_NoQuiesce — every set operation requests
+//                the skip. Unlike the paper's libitm, freeing removals are
+//                honoured too: their nodes wait in limbo, so this regime
+//                quiesces no more than NoQ.
 //
 // Structures/keyspaces are the paper's: list with 6-bit keys, hash and
 // red-black tree with 8-bit keys, initialized 50% full. Two mixes per

@@ -29,7 +29,7 @@ REQUIRED_COUNTERS = [
     "quiesce_spins", "quiesce_wait_ns", "grace_scans", "grace_shared",
     "parked_waits", "limbo_enqueued", "limbo_drained", "limbo_forced_flush",
     "noquiesce_requests", "noquiesce_honored", "noquiesce_ignored_nested",
-    "noquiesce_ignored_free", "noquiesce_ignored_htm", "htm_routed_frees",
+    "noquiesce_ignored_htm", "htm_routed_frees",
     "priv_immediate_frees", "priv_limbo_routed",
     "tm_allocs", "tm_frees", "deferred_run",
     "condvar_waits", "condvar_timeouts", "htm_retries", "stm_read_dedup",

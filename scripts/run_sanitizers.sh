@@ -4,10 +4,10 @@
 # allocation logs), privatization (quiesce-before-free and the mode-aware
 # routed reclamation, rerun under a seeded htm_zombie fault matrix), the data
 # structures (node reclamation under concurrency), the engine edge cases,
-# the quiescence substrate (grace sharing, parking, limbo reclamation), the
-# observability layer (seqlock trace ring under concurrent
-# emit/snapshot/reset, per-site counter tables, the windowed metrics
-# sampler ticking against live counter bumps), and the contention
+# the quiescence substrate (grace sharing, parking, limbo reclamation and
+# its non-blocking epoch poll), the observability layer (seqlock trace
+# ring under concurrent emit/snapshot/reset, per-site counter tables, the
+# windowed metrics sampler ticking against live counter bumps), and the contention
 # governor (storm-window folding, token gate, drain waits under racing
 # serial writers), and the striped commit sequence (per-stripe seqlock
 # acquisition/release ordering, lazy subscription, deferred gclock CAS).
@@ -36,12 +36,12 @@ suite_extra() {
     *) echo "" ;;
   esac
 }
-SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test control_test tm_stripe_test tm_protocol_test"
+SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test limbo_poll_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test control_test tm_stripe_test tm_protocol_test"
 
 # Seeded fault matrix: rerun the suites most sensitive to the perturbed
 # windows with the env-armed chaos plan, so the sanitizers watch the Dekker
 # handshakes while injection drives aborts and delays through them.
-FAULT_SUITES="tm_core_test sync_stress_test quiesce_stress_test"
+FAULT_SUITES="tm_core_test sync_stress_test quiesce_stress_test limbo_poll_test"
 FAULT_SEED=20260806
 
 # Privatization suite (hard-gating): the mode-aware reclamation routing is

@@ -60,16 +60,14 @@ class TmHashSet {
     Node* head = bucket(key);
     atomic_do([&](TxContext& tx) {
       removed = false;
+      tx.no_quiesce();  // the freed node's grace period is limbo's job
       Node* prev = head;
       Node* cur = tx.read(prev->next);
       while (cur && cur->key < key) {
         prev = cur;
         cur = tx.read(cur->next);
       }
-      if (!cur || cur->key != key) {
-        tx.no_quiesce();
-        return;
-      }
+      if (!cur || cur->key != key) return;
       tx.write(prev->next, tx.read(cur->next));
       tx.destroy(cur);
       removed = true;

@@ -2,11 +2,11 @@
 // (6-bit keys, high structural contention: every traversal reads the same
 // prefix).
 //
-// TM_NoQuiesce placement (the paper's SelectNoQ configuration):
-//   * insert and contains never privatize   -> request NoQuiesce;
-//   * an unsuccessful remove privatizes nothing -> request NoQuiesce;
-//   * a successful remove privatizes and frees the node -> no request (and
-//     the runtime would deny it anyway: freeing transactions must quiesce).
+// TM_NoQuiesce placement (the paper's SelectNoQ configuration): every
+// operation requests it. insert and contains never privatize; a remove
+// privatizes only the node it frees, and the runtime parks that node in
+// limbo until every transaction that could still read it has ended, so the
+// commit itself need not wait.
 #pragma once
 
 #include <climits>
@@ -63,18 +63,16 @@ class TmListSet {
     bool removed = false;
     atomic_do([&](TxContext& tx) {
       removed = false;
+      tx.no_quiesce();  // the freed node's grace period is limbo's job
       Node* prev = head_;
       Node* cur = tx.read(prev->next);
       while (cur && cur->key < key) {
         prev = cur;
         cur = tx.read(cur->next);
       }
-      if (!cur || cur->key != key) {
-        tx.no_quiesce();  // nothing privatized
-        return;
-      }
+      if (!cur || cur->key != key) return;
       tx.write(prev->next, tx.read(cur->next));
-      tx.destroy(cur);  // forces post-commit quiescence before reuse
+      tx.destroy(cur);  // released from limbo once no reader can hold it
       removed = true;
     });
     return removed;

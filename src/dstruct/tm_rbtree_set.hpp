@@ -64,15 +64,13 @@ class TmRbTreeSet {
     bool removed = false;
     atomic_do([&](TxContext& tx) {
       removed = false;
+      tx.no_quiesce();  // the freed node's grace period is limbo's job
       Node* z = tx.read(root_);
       while (z != nil_ && z->key != key)
         z = key < z->key ? tx.read(z->left) : tx.read(z->right);
-      if (z == nil_) {
-        tx.no_quiesce();  // nothing privatized
-        return;
-      }
+      if (z == nil_) return;
       erase_node(tx, z);
-      tx.destroy(z);  // commit will quiesce before freeing
+      tx.destroy(z);  // released from limbo once no reader can hold it
       removed = true;
     });
     return removed;

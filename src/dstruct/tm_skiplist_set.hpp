@@ -57,17 +57,15 @@ class TmSkipListSet {
     bool removed = false;
     atomic_do([&](TxContext& tx) {
       removed = false;
+      tx.no_quiesce();  // the freed node's grace period is limbo's job
       Node* preds[kMaxLevel];
       Node* victim = search(tx, key, preds);
-      if (!victim) {
-        tx.no_quiesce();  // nothing privatized
-        return;
-      }
+      if (!victim) return;
       for (int lv = 0; lv < victim->height; ++lv) {
         if (tx.read(preds[lv]->next[lv]) == victim)
           tx.write(preds[lv]->next[lv], tx.read(victim->next[lv]));
       }
-      tx.destroy(victim);  // forces quiescence before reuse
+      tx.destroy(victim);  // released from limbo once no reader can hold it
       removed = true;
     });
     return removed;

@@ -135,8 +135,9 @@ class TxContext {
   }
 
   /// The paper's TM_NoQuiesce: request that this transaction skip its
-  /// post-commit quiescence. Ignored (with accounting) when nested, when the
-  /// transaction frees memory, or when the runtime policy says so (§IV-B).
+  /// post-commit quiescence. Ignored (with accounting) when nested or when
+  /// the runtime policy says so (§IV-B). Freeing memory does not void it:
+  /// frees wait out their own grace period in limbo (see free()).
   void no_quiesce() const noexcept {
     TxStats& s = *tx_->stats;
     s.bump(s.noquiesce_requests);
@@ -175,8 +176,10 @@ class TxContext {
     return p;
   }
 
-  /// Transactional free: deferred until commit, and the commit quiesces
-  /// before the memory returns to the allocator (§IV-B's allocator rule).
+  /// Transactional free: deferred until commit, then parked in limbo until
+  /// every transaction in flight at commit has ended. That grace period
+  /// stands in for §IV-B's allocator rule (a freeing commit quiesces), so
+  /// no_quiesce() stays honoured on freeing transactions.
   void free(void* p) const {
     if (!p) return;
     if (tx_->access == AccessMode::Direct) {
@@ -185,7 +188,6 @@ class TxContext {
       return;
     }
     tx_->frees.push_back(p);
-    tx_->freed_memory = true;
   }
 
   /// Typed helpers over alloc/free for trivially-destructible node types.

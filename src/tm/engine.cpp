@@ -422,6 +422,8 @@ void htm_commit(TxDesc& tx) {
 //   * limbo_* — epoch-based reclamation: deferred frees wait out their
 //     grace period on a per-thread limbo list instead of stalling the
 //     committing transaction (the §IV-B allocator exception, amortized).
+//     limbo_poll certifies blocks without waiting: it keeps epoch_scan's
+//     snapshot and replaces the wait with a re-check on later drains.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -505,11 +507,10 @@ bool epoch_peers_quiet(TxDesc& tx) noexcept {
 /// postdates the request and covers every transaction the requester could
 /// race with. Concurrent requesters therefore piggyback on one scanner's
 /// O(threads) pass instead of each running their own. Also certifies the
-/// caller's limbo batches enqueued before entry (local certification — see
-/// TxDesc::limbo_certified).
+/// caller's limbo blocks enqueued before entry (see TxDesc::limbo_certified).
 void grace_sync(TxDesc& tx) {
   TxStats& s = st(tx);
-  const std::uint64_t mark = tx.limbo_seq;
+  const std::size_t mark = tx.limbo.size();
   if (epoch_peers_quiet(tx)) {
     tx.limbo_certified = mark;
     return;
@@ -582,29 +583,56 @@ void grace_sync(TxDesc& tx) {
   tx.limbo_certified = mark;
 }
 
-/// Move the transaction's deferred frees onto the thread-local limbo list,
-/// stamped with the grace ticket whose completion makes them safe to
-/// release. Runs after epoch_exit: transactions beginning later cannot
-/// acquire references to the privatized blocks, so waiting out everything
-/// in flight at enqueue time (what ticket certification means) is enough.
+/// Move the transaction's deferred frees onto the thread-local limbo list.
+/// Runs once the writes that unlinked the blocks are published (after
+/// epoch_exit, or in place inside a serial section): transactions beginning
+/// later cannot acquire references to them, so waiting out everything in
+/// flight now is enough.
 void limbo_enqueue(TxDesc& tx) {
-  LimboBatch b;
-  b.ptrs = std::move(tx.frees);
+  tx.limbo.insert(tx.limbo.end(), tx.frees.begin(), tx.frees.end());
+  st(tx).bump(st(tx).limbo_enqueued, tx.frees.size());
   tx.frees.clear();
-  b.ticket = grace_state().started.load(std::memory_order_seq_cst) + 1;
-  b.local_seq = ++tx.limbo_seq;
-  tx.limbo_pending += b.ptrs.size();
-  tx.slot->limbo_pending.store(tx.limbo_pending, std::memory_order_relaxed);
-  tx.limbo.push_back(std::move(b));
-  st(tx).bump(st(tx).limbo_enqueued);
+  tx.slot->limbo_pending.store(tx.limbo.size(), std::memory_order_relaxed);
 }
 
-/// Release every limbo batch already covered by a full all-domain grace
-/// period: globally (a shared pass numbered >= its ticket completed) or
-/// locally (this thread ran its own all-domain quiesce after the enqueue).
-/// Batches are FIFO with nondecreasing stamps, so a prefix drains. With
-/// `force`, a synchronous grace period is run first so everything drains —
-/// the bounded-memory backstop and the thread-exit path.
+/// The non-blocking grace period: epoch_scan split into its snapshot and
+/// a poll that never spins, yields or parks. If the outstanding snapshot's
+/// peers have all moved past the epoch they were caught in, certify every
+/// block up to its mark. Then, if blocks remain uncertified, snapshot the
+/// all-domain registry afresh: a peer caught mid-transaction (odd seq) may
+/// hold references to those blocks; any other peer's next transaction
+/// begins after the snapshot, hence after the frees' commits, and cannot
+/// reach them. The Dekker argument is epoch_scan's: the snapshot loads are
+/// seq_cst and follow the freeing commit's seq_cst epoch_exit, and each
+/// peer's seq_cst epoch_enter precedes its first transactional read, so a
+/// peer the snapshot misses began after the unlinking writes published.
+void limbo_poll(TxDesc& tx) {
+  ThreadSlot* slots = slot_table();
+  if (tx.limbo_poll_mark > tx.limbo_certified) {
+    for (const PeerEpoch& p : tx.limbo_poll)
+      if (slots[p.slot].seq.load(std::memory_order_acquire) == p.seq)
+        return;  // still in the snapshotted transaction: check next time
+    tx.limbo_certified = tx.limbo_poll_mark;
+  }
+  tx.limbo_poll_mark = 0;
+  if (tx.limbo_certified == tx.limbo.size()) return;
+  tx.limbo_poll.clear();
+  const int hw = slot_high_water();
+  for (int i = 0; i < hw; ++i) {
+    if (&slots[i] == tx.slot) continue;
+    const std::uint64_t v = slots[i].seq.load(std::memory_order_seq_cst);
+    if (v & 1) tx.limbo_poll.push_back({i, v});
+  }
+  if (tx.limbo_poll.empty())
+    tx.limbo_certified = tx.limbo.size();  // nobody in flight: already safe
+  else
+    tx.limbo_poll_mark = tx.limbo.size();
+}
+
+/// Release the limbo prefix a full all-domain grace period already covers
+/// (this thread's own all-domain quiesce, a serial section, or the epoch
+/// poll). With `force`, a synchronous grace period is run first so
+/// everything drains — the bounded-memory backstop.
 void limbo_drain(TxDesc& tx, bool force) {
   if (tx.limbo.empty()) return;
   TxStats& s = st(tx);
@@ -614,24 +642,19 @@ void limbo_drain(TxDesc& tx, bool force) {
     // A forced flush is a genuine all-domain quiesce: it also discharges
     // any armed privatization hazard for this thread.
     if (audit::enabled()) audit::on_quiesced(tx);
+  } else {
+    limbo_poll(tx);
   }
-  const std::uint64_t completed =
-      grace_state().completed.load(std::memory_order_seq_cst);
-  std::size_t n = 0;
-  for (LimboBatch& b : tx.limbo) {
-    if (completed < b.ticket && b.local_seq > tx.limbo_certified) break;
-    for (void* p : b.ptrs) ::operator delete(p);
-    s.bump(s.tm_frees, b.ptrs.size());
-    tx.limbo_pending -= b.ptrs.size();
-    ++n;
-  }
-  if (n) {
-    tx.limbo.erase(tx.limbo.begin(),
-                   tx.limbo.begin() + static_cast<std::ptrdiff_t>(n));
-    s.bump(s.limbo_drained, n);
-    tx.slot->limbo_pending.store(tx.limbo_pending,
-                                 std::memory_order_relaxed);
-  }
+  const std::size_t n = tx.limbo_certified;
+  if (n == 0) return;
+  for (std::size_t i = 0; i < n; ++i) ::operator delete(tx.limbo[i]);
+  tx.limbo.erase(tx.limbo.begin(),
+                 tx.limbo.begin() + static_cast<std::ptrdiff_t>(n));
+  tx.limbo_certified = 0;
+  tx.limbo_poll_mark = tx.limbo_poll_mark > n ? tx.limbo_poll_mark - n : 0;
+  s.bump(s.tm_frees, n);
+  s.bump(s.limbo_drained, n);
+  tx.slot->limbo_pending.store(tx.limbo.size(), std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -702,15 +725,14 @@ void tm_private_free(void* p) {
     // right lifetime (post-commit limbo, or the mode-aware serial-exit
     // routing above).
     tx.frees.push_back(p);
-    tx.freed_memory = true;
     return;
   }
   // Non-transactional privatizer (detach committed, now reclaiming). An
   // in-flight simulated-HTM reader validates lazily: it can issue one more
   // value-validated load of this block before noticing the commit sequence
   // moved, so the block must outlive every transaction in flight right now.
-  // Park it in limbo under the next grace ticket; STM peers (and none at
-  // all) license the immediate free the paper's identity promises.
+  // Park it in limbo until they have ended; STM peers (and none at all)
+  // license the immediate free the paper's identity promises.
   if (htm_readers_possible()) {
     tx.frees.push_back(p);
     limbo_enqueue(tx);
@@ -719,7 +741,7 @@ void tm_private_free(void* p) {
       obs::site_counters(tx.slot_id, tx.site)
           .priv_limbo_routed.fetch_add(1, std::memory_order_relaxed);
     limbo_drain(tx,
-                /*force=*/tx.limbo_pending > config().limbo_max_pending);
+                /*force=*/tx.limbo.size() > config().limbo_max_pending);
   } else {
     ::operator delete(p);
     s.bump(s.priv_immediate_frees);
@@ -858,13 +880,12 @@ void tx_post_commit(TxDesc& tx) {
   // Freed blocks must outlive every transaction that could still read them
   // (zombie reads must land on live storage), and unlike the ordering
   // quiesce that grace must cover EVERY domain — a zombie in another
-  // quiescence domain can still hold a reference. Instead of the old
-  // synchronous all-domain quiesce per freeing commit, the batch parks in
-  // limbo stamped with a grace ticket and drains below once a covering
-  // period has elapsed. Enqueue happens BEFORE the ordering quiesce so
-  // that quiesce — itself a full grace period when multi_domain is off —
-  // certifies the batch and the common Always-policy commit still drains
-  // its own frees immediately.
+  // quiescence domain can still hold a reference. Instead of a synchronous
+  // all-domain quiesce per freeing commit, the frees park in limbo and
+  // drain below once a covering period has elapsed. Enqueue happens
+  // BEFORE the ordering quiesce so that quiesce — itself a full grace
+  // period when multi_domain is off — certifies them and an
+  // Always-policy commit still drains its own frees immediately.
   if (!tx.frees.empty()) limbo_enqueue(tx);
   // --- quiescence decision (Section IV-B) -------------------------------
   bool need_q = false;
@@ -874,15 +895,13 @@ void tx_post_commit(TxDesc& tx) {
       case QuiescePolicy::WriterOnly: need_q = !tx.read_only; break;
       case QuiescePolicy::Never: need_q = false; break;
     }
+    // Honoured even when the transaction freed memory: the paper's
+    // allocator exception exists because libitm returns the block right
+    // after commit, but here the frees already sit in limbo awaiting their
+    // own grace period (limbo_poll), so the skip cannot expose them.
     if (need_q && config().honor_noquiesce && tx.noquiesce_req) {
-      if (tx.freed_memory) {
-        // The allocator exception: memory headed back to the system must
-        // outlive every concurrent transaction.
-        s.bump(s.noquiesce_ignored_free);
-      } else {
-        need_q = false;
-        s.bump(s.noquiesce_honored);
-      }
+      need_q = false;
+      s.bump(s.noquiesce_honored);
     }
   }
   bool quiesced = false;
@@ -899,10 +918,12 @@ void tx_post_commit(TxDesc& tx) {
       audit::on_unquiesced_commit(tx);
   }
   // --- limbo drain --------------------------------------------------------
-  // Release whatever a grace period already covers; force a synchronous
-  // one only when the list outgrows the configured bound. Engines that
-  // never quiesce for ordering (HTM, the Never policy) thus pay one grace
-  // per limbo_max_pending frees instead of one per freeing commit.
+  // Release whatever a grace period already covers (this thread's own
+  // all-domain quiesce or the non-blocking epoch poll); force a
+  // synchronous one only when the list outgrows the configured bound.
+  // Commits that skip the ordering quiesce (HTM, NoQuiesce, the Never
+  // policy) thus never wait for their frees unless a peer stays in one
+  // transaction across limbo_max_pending of them.
   // The fault plan is consulted on EVERY post-commit (not just ones with a
   // non-empty limbo) so the injection event counter advances at a rate that
   // depends only on this thread's workload, never on grace timing.
@@ -913,7 +934,7 @@ void tx_post_commit(TxDesc& tx) {
   }
   if (!tx.limbo.empty())
     limbo_drain(tx, /*force=*/fault_flush ||
-                        tx.limbo_pending > config().limbo_max_pending);
+                        tx.limbo.size() > config().limbo_max_pending);
   // --- deferred actions (Section VI-c logging, condvar ops) ---------------
   for (auto& fn : tx.deferred) {
     fn();
@@ -1020,8 +1041,8 @@ void tx_serial_exit(TxDesc& tx) {
   // reader slot and looks at the lock only at commit: such a zombie can
   // still issue one value-validated load of anything this section frees.
   // Mode-aware routing: with HTM readers in flight, frees park in limbo
-  // (their grace ticket waits the zombies out) instead of freeing now, and
-  // the lock-based limbo self-certification below is forfeited.
+  // (the epoch poll waits the zombies out) instead of freeing now, and the
+  // lock-based limbo self-certification below is forfeited.
   const bool htm_risk = htm_readers_possible();
   if (!tx.frees.empty()) {
     if (htm_risk) {
@@ -1043,8 +1064,8 @@ void tx_serial_exit(TxDesc& tx) {
     // period has trivially elapsed for anything this thread had in limbo:
     // certify and drain it while the storage is provably unreferenced —
     // unless an unsubscribed HTM zombie may still hold references, in
-    // which case batches wait for their genuine grace tickets.
-    if (!htm_risk) tx.limbo_certified = tx.limbo_seq;
+    // which case the blocks wait for a genuine grace period.
+    if (!htm_risk) tx.limbo_certified = tx.limbo.size();
     limbo_drain(tx, /*force=*/false);
   }
   epoch_exit(tx);
@@ -1137,12 +1158,16 @@ void tm_fence() {
 }
 
 TxDesc::~TxDesc() {
-  // Thread exit with batches still in limbo: nobody will be left to drain
-  // them lazily, so flush through a forced grace period now. Runs before
+  // Thread exit with blocks still in limbo: nobody will be left to drain
+  // them lazily, so flush through a synchronous grace period now. Runs before
   // the thread's SlotLease destructor (current() constructs the descriptor
   // inside the lease's initializer), so slot and stats are still valid.
-  // A moved-from descriptor has an empty limbo and skips this.
-  if (!limbo.empty()) limbo_drain(*this, /*force=*/true);
+  // A moved-from descriptor has an empty limbo and skips this. Not counted
+  // as limbo_forced_flush: that counter is the size bound's backstop.
+  if (!limbo.empty()) {
+    grace_sync(*this);
+    limbo_drain(*this, /*force=*/false);
+  }
 }
 
 TxDesc& TxDesc::current() noexcept {

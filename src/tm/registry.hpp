@@ -50,7 +50,7 @@ struct alignas(kCacheLine) ThreadSlot {
   /// while obs::kMetricsBit is set — the dark path never touches it.
   std::atomic<std::uint64_t> txn_begin_ns{0};
 
-  /// Sampler-visible mirror of the owner's TxDesc::limbo_pending (deferred
+  /// Sampler-visible mirror of the owner's TxDesc::limbo.size() (deferred
   /// frees awaiting a grace period). Updated on the limbo enqueue/drain
   /// paths, which are never hot.
   std::atomic<std::uint64_t> limbo_pending{0};

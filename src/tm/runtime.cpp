@@ -261,7 +261,7 @@ std::string StatsSnapshot::report() const {
       "quiesce calls/waits   %12llu / %llu (spins %llu, blocked %.3f ms)\n"
       "grace scans/shared    %12llu / %llu (parked waits %llu)\n"
       "limbo enq/drained     %12llu / %llu (forced flushes %llu)\n"
-      "noquiesce req/honored %12llu / %llu (ignored: nested %llu, free %llu)\n"
+      "noquiesce req/honored %12llu / %llu (ignored: nested %llu)\n"
       "tm alloc/free         %12llu / %llu\n"
       "deferred actions      %12llu\n"
       "condvar waits/timeouts%12llu / %llu\n"
@@ -305,7 +305,6 @@ std::string StatsSnapshot::report() const {
       (unsigned long long)noquiesce_requests,
       (unsigned long long)noquiesce_honored,
       (unsigned long long)noquiesce_ignored_nested,
-      (unsigned long long)noquiesce_ignored_free,
       (unsigned long long)tm_allocs, (unsigned long long)tm_frees,
       (unsigned long long)deferred_run, (unsigned long long)condvar_waits,
       (unsigned long long)condvar_timeouts, (unsigned long long)htm_retries,

@@ -36,13 +36,12 @@ namespace tle {
   X(grace_scans, "grace passes this thread scanned itself")                 \
   X(grace_shared, "quiesces satisfied by another thread's scan")            \
   X(parked_waits, "futex parks after the bounded quiesce spin")             \
-  X(limbo_enqueued, "free batches deferred to the limbo list")              \
-  X(limbo_drained, "limbo batches released after a grace")                  \
+  X(limbo_enqueued, "freed blocks deferred to the limbo list")              \
+  X(limbo_drained, "limbo blocks released after a grace")                   \
   X(limbo_forced_flush, "drains forced by the limbo size bound")            \
   X(noquiesce_requests, "TM_NoQuiesce() invocations")                       \
   X(noquiesce_honored, "commits that skipped quiescence")                   \
   X(noquiesce_ignored_nested, "calls ignored: nested txn (SIV-B)")          \
-  X(noquiesce_ignored_free, "skips denied: txn freed memory")               \
   X(noquiesce_ignored_htm, "skips denied: simulated-HTM readers possible")  \
   X(htm_routed_frees, "engine frees routed to limbo: HTM readers in-flight") \
   X(priv_immediate_frees, "tm_private_free released immediately")           \

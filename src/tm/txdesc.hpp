@@ -221,11 +221,11 @@ struct HtmWrite {
 };
 
 /// Integral member whose move resets the source to zero. The limbo
-/// accounting scalars must track the `limbo` vector exactly: a defaulted
-/// member-wise move empties the vector but would copy the counters, leaving
-/// a moved-from descriptor claiming pending frees it no longer holds (and
-/// spuriously force-flushing if reused). jmp_buf makes a hand-written
-/// member-init move ctor for TxDesc impossible, so the fix lives here.
+/// indices must track the `limbo` vector exactly: a defaulted member-wise
+/// move empties the vector but would copy the indices, leaving a moved-from
+/// descriptor claiming certified frees it no longer holds. jmp_buf makes a
+/// hand-written member-init move ctor for TxDesc impossible, so the fix
+/// lives here.
 template <typename T>
 struct ZeroOnMove {
   T v{};
@@ -238,24 +238,13 @@ struct ZeroOnMove {
     return *this;
   }
   ZeroOnMove& operator=(T x) noexcept { v = x; return *this; }
-  ZeroOnMove& operator+=(T x) noexcept { v += x; return *this; }
-  ZeroOnMove& operator-=(T x) noexcept { v -= x; return *this; }
-  T operator++() noexcept { return ++v; }
   operator T() const noexcept { return v; }
 };
 
-/// One commit's worth of deferred frees parked until a full all-domain
-/// grace period elapses (epoch-based reclamation, paper Section IV-B).
-/// Owner-thread access only.
-struct LimboBatch {
-  std::vector<void*> ptrs;
-  /// Grace pass whose completion certifies release: taken as started+1 at
-  /// enqueue, so any pass reaching it snapshotted the registry after the
-  /// enqueue and therefore waited out every transaction that could still
-  /// hold a zombie reference to these blocks.
-  std::uint64_t ticket = 0;
-  /// Position in this thread's enqueue order (see TxDesc::limbo_certified).
-  std::uint64_t local_seq = 0;
+/// One peer epoch recorded by a limbo poll snapshot.
+struct PeerEpoch {
+  int slot;           ///< registry slot index
+  std::uint64_t seq;  ///< the odd seq observed (peer mid-transaction)
 };
 
 struct TxDesc {
@@ -382,28 +371,30 @@ struct TxDesc {
 
   // --- quiescence interaction ----------------------------------------------
   bool noquiesce_req = false;  ///< TM_NoQuiesce called at top level
-  bool freed_memory = false;   ///< transaction freed memory (§IV-B exception)
 
   // --- allocation + deferral logs -------------------------------------------
   std::vector<void*> allocs;  ///< released if the transaction aborts
-  std::vector<void*> frees;   ///< released after commit (+forced quiescence)
+  std::vector<void*> frees;   ///< released after commit, via limbo
   std::vector<std::function<void()>> deferred;  ///< run post-commit, FIFO
 
   // --- limbo (grace-period reclamation) -----------------------------------
   // Unlike the per-section logs above, these persist across transactions:
-  // clear_logs() must never touch them — a batch lives here until a grace
+  // clear_logs() must never touch them — a block lives here until a grace
   // period covers it.
-  std::vector<LimboBatch> limbo;  ///< FIFO, stamps nondecreasing
-  /// Total pointers across `limbo`. ZeroOnMove: must reset with the vector.
-  ZeroOnMove<std::size_t> limbo_pending;
-  /// Enqueue counter (stamps local_seq). ZeroOnMove: see limbo_pending.
-  ZeroOnMove<std::uint64_t> limbo_seq;
-  /// Highest local_seq certified by this thread's own all-domain quiesce:
-  /// an ordering quiesce that happens to cover all domains doubles as the
-  /// grace period for every batch enqueued before it, even when the shared
-  /// counters never moved (fast-path scans and serial sections don't
-  /// publish passes).
-  ZeroOnMove<std::uint64_t> limbo_certified;
+  std::vector<void*> limbo;  ///< freed blocks awaiting a grace period, FIFO
+  /// Length of the `limbo` prefix a full all-domain grace period has
+  /// covered: this thread's own all-domain quiesce (an ordering quiesce that
+  /// covers all domains doubles as the grace period for every block
+  /// enqueued before it), a serial section, or the epoch poll.
+  /// ZeroOnMove: must reset with the vector.
+  ZeroOnMove<std::size_t> limbo_certified;
+  /// Outstanding epoch-poll snapshot (limbo_poll in engine.cpp): the peers
+  /// caught mid-transaction and the odd seq each was in. Once every one
+  /// has moved, the first `limbo_poll_mark` blocks are certified.
+  std::vector<PeerEpoch> limbo_poll;
+  /// limbo.size() when the snapshot was taken; 0 = no snapshot outstanding.
+  /// ZeroOnMove: see limbo_certified.
+  ZeroOnMove<std::size_t> limbo_poll_mark;
 
   // --- contention governor state ---------------------------------------
   // Touched only at attempt boundaries (begin/abort/commit), never on the
@@ -461,7 +452,6 @@ struct TxDesc {
     frees.clear();
     deferred.clear();
     noquiesce_req = false;
-    freed_memory = false;
     read_only = true;
   }
 };

@@ -288,9 +288,10 @@ TEST(HashSet, SingleBucketDegeneratesToList) {
   EXPECT_EQ(s.size_unsafe(), 16u);
 }
 
-// The Figure-5 SelectNoQ behaviour: reads and inserts skip quiescence, but
-// successful removals (which free memory) still quiesce.
-TEST(SelectNoQ, RemovalQuiescesInsertDoesNot) {
+// The Figure-5 SelectNoQ behaviour: every operation skips quiescence. A
+// successful removal frees its node, which waits in limbo for its own grace
+// period instead of the commit quiescing.
+TEST(SelectNoQ, RemovalSkipsQuiescenceNodeRidesLimbo) {
   ModeGuard g(ExecMode::StmCondVarNoQ);
   TmListSet s;
   reset_stats();
@@ -298,10 +299,14 @@ TEST(SelectNoQ, RemovalQuiescesInsertDoesNot) {
   s.contains(1);
   auto mid = aggregate_stats();
   EXPECT_EQ(mid.quiesce_calls, 0u) << "insert/contains must skip quiescence";
+  EXPECT_EQ(mid.limbo_enqueued, 0u);
   s.remove(1);
   auto fin = aggregate_stats();
-  EXPECT_GE(fin.quiesce_calls, 1u) << "freeing removal must quiesce";
-  EXPECT_GE(fin.noquiesce_honored, 2u);
+  EXPECT_EQ(fin.quiesce_calls, 0u) << "the freeing removal must skip too";
+  EXPECT_EQ(fin.noquiesce_honored, 3u);
+  EXPECT_EQ(fin.limbo_enqueued, 1u) << "the removed node must ride limbo";
+  EXPECT_EQ(fin.limbo_drained, 1u);
+  EXPECT_EQ(fin.tm_frees, 1u);
 }
 
 }  // namespace

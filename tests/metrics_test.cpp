@@ -248,7 +248,19 @@ TEST(MetricsGauges, LimboBacklogIsVisible) {
   ModeGuard g(ExecMode::Htm);
   MetricsGuard mg;
   // An HTM commit has no ordering quiesce, so a transactional free parks in
-  // limbo awaiting a grace period — exactly the backlog the gauge reports.
+  // limbo until every transaction in flight at commit has ended — exactly
+  // the backlog the gauge reports. A lone thread would certify its batch
+  // at once, so a peer holds a transaction open across the free.
+  std::atomic<bool> inside{false}, release{false};
+  std::thread peer([&] {
+    atomic_do(TLE_TX_SITE("metrics/limbo-peer"), [&](TxContext&) {
+      inside.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    });
+  });
+  while (!inside.load(std::memory_order_acquire)) std::this_thread::yield();
+
   void* p = ::operator new(64);
   atomic_do(TLE_TX_SITE("metrics/limbo"), [&](TxContext& tx) { tx.free(p); });
 
@@ -256,6 +268,8 @@ TEST(MetricsGauges, LimboBacklogIsVisible) {
   EXPECT_GE(w.gauges.limbo_pending, 1u);
   EXPECT_GE(w.limbo_enqueued, 1u);
 
+  release.store(true, std::memory_order_release);
+  peer.join();
   // A serial section drains this thread's limbo (the write lock is a full
   // grace period); leave the slot clean for later tests.
   synchronized_do([](TxContext&) {});
