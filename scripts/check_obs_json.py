@@ -28,8 +28,8 @@ REQUIRED_COUNTERS = [
     "serial_commits", "lock_sections", "quiesce_calls", "quiesce_waits",
     "quiesce_spins", "quiesce_wait_ns", "grace_scans", "grace_shared",
     "parked_waits", "limbo_enqueued", "limbo_drained", "limbo_forced_flush",
-    "noquiesce_requests", "noquiesce_honored", "noquiesce_ignored_nested",
-    "noquiesce_ignored_htm", "htm_routed_frees",
+    "limbo_snapshots", "noquiesce_requests", "noquiesce_honored",
+    "noquiesce_ignored_nested", "htm_routed_frees",
     "priv_immediate_frees", "priv_limbo_routed",
     "tm_allocs", "tm_frees", "deferred_run",
     "condvar_waits", "condvar_timeouts", "htm_retries", "stm_read_dedup",

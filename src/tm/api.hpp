@@ -135,24 +135,16 @@ class TxContext {
   }
 
   /// The paper's TM_NoQuiesce: request that this transaction skip its
-  /// post-commit quiescence. Ignored (with accounting) when nested or when
-  /// the runtime policy says so (§IV-B). Freeing memory does not void it:
-  /// frees wait out their own grace period in limbo (see free()).
+  /// post-commit quiescence. Ignored (with accounting) when nested (§IV-B).
+  /// Only STM commits quiesce, so only they consult the request; a
+  /// simulated-HTM attempt sets the flag without reading peer state, and
+  /// its frees go through limbo either way. Freeing memory does not void
+  /// it: frees wait out their own grace period in limbo (see free()).
   void no_quiesce() const noexcept {
     TxStats& s = *tx_->stats;
     s.bump(s.noquiesce_requests);
     if (tx_->depth > 1) {
       s.bump(s.noquiesce_ignored_nested);
-      return;
-    }
-    // Simulated-HTM attempts never quiesce anyway, but a skip assertion
-    // made here must not license anything downstream (an immediate free, a
-    // skipped audit arm) while lazily-validating HTM peers are in flight:
-    // the paper's "HTM needs no quiescence" identity is a property of
-    // eager coherence aborts that our simulation does not have. Ignore
-    // with accounting instead of silently honoring.
-    if (tx_->access == AccessMode::Htm && htm_readers_possible()) {
-      s.bump(s.noquiesce_ignored_htm);
       return;
     }
     tx_->noquiesce_req = true;

@@ -598,14 +598,17 @@ void limbo_enqueue(TxDesc& tx) {
 /// The non-blocking grace period: epoch_scan split into its snapshot and
 /// a poll that never spins, yields or parks. If the outstanding snapshot's
 /// peers have all moved past the epoch they were caught in, certify every
-/// block up to its mark. Then, if blocks remain uncertified, snapshot the
-/// all-domain registry afresh: a peer caught mid-transaction (odd seq) may
-/// hold references to those blocks; any other peer's next transaction
-/// begins after the snapshot, hence after the frees' commits, and cannot
-/// reach them. The Dekker argument is epoch_scan's: the snapshot loads are
-/// seq_cst and follow the freeing commit's seq_cst epoch_exit, and each
-/// peer's seq_cst epoch_enter precedes its first transactional read, so a
-/// peer the snapshot misses began after the unlinking writes published.
+/// block up to its mark. Then, once kLimboPollBatch blocks sit uncertified,
+/// snapshot the all-domain registry afresh: a peer caught mid-transaction
+/// (odd seq) may hold references to those blocks; any other peer's next
+/// transaction begins after the snapshot, hence after the frees' commits,
+/// and cannot reach them. Below the batch the blocks just wait (the size
+/// bound, serial exits, grace_sync and thread exit still cover them), so
+/// the registry is read once per batch rather than once per freeing commit.
+/// The Dekker argument is epoch_scan's: the snapshot loads are seq_cst and
+/// follow the freeing commit's seq_cst epoch_exit, and each peer's seq_cst
+/// epoch_enter precedes its first transactional read, so a peer the
+/// snapshot misses began after the unlinking writes published.
 void limbo_poll(TxDesc& tx) {
   ThreadSlot* slots = slot_table();
   if (tx.limbo_poll_mark > tx.limbo_certified) {
@@ -615,7 +618,8 @@ void limbo_poll(TxDesc& tx) {
     tx.limbo_certified = tx.limbo_poll_mark;
   }
   tx.limbo_poll_mark = 0;
-  if (tx.limbo_certified == tx.limbo.size()) return;
+  if (tx.limbo.size() - tx.limbo_certified < TxDesc::kLimboPollBatch) return;
+  st(tx).bump(st(tx).limbo_snapshots);
   tx.limbo_poll.clear();
   const int hw = slot_high_water();
   for (int i = 0; i < hw; ++i) {

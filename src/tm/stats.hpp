@@ -39,10 +39,10 @@ namespace tle {
   X(limbo_enqueued, "freed blocks deferred to the limbo list")              \
   X(limbo_drained, "limbo blocks released after a grace")                   \
   X(limbo_forced_flush, "drains forced by the limbo size bound")            \
+  X(limbo_snapshots, "registry snapshots taken by the limbo epoch poll")    \
   X(noquiesce_requests, "TM_NoQuiesce() invocations")                       \
   X(noquiesce_honored, "commits that skipped quiescence")                   \
   X(noquiesce_ignored_nested, "calls ignored: nested txn (SIV-B)")          \
-  X(noquiesce_ignored_htm, "skips denied: simulated-HTM readers possible")  \
   X(htm_routed_frees, "engine frees routed to limbo: HTM readers in-flight") \
   X(priv_immediate_frees, "tm_private_free released immediately")           \
   X(priv_limbo_routed, "tm_private_free routed through limbo")              \

@@ -395,6 +395,9 @@ struct TxDesc {
   /// limbo.size() when the snapshot was taken; 0 = no snapshot outstanding.
   /// ZeroOnMove: see limbo_certified.
   ZeroOnMove<std::size_t> limbo_poll_mark;
+  /// Uncertified blocks that make the epoch poll take a fresh registry
+  /// snapshot: one O(threads) pass per batch of frees, not per free.
+  static constexpr std::size_t kLimboPollBatch = 32;
 
   // --- contention governor state ---------------------------------------
   // Touched only at attempt boundaries (begin/abort/commit), never on the

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <set>
+#include <thread>
 
 #include "dstruct/tm_hash_set.hpp"
 #include "dstruct/tm_list_set.hpp"
@@ -290,22 +291,28 @@ TEST(HashSet, SingleBucketDegeneratesToList) {
 
 // The Figure-5 SelectNoQ behaviour: every operation skips quiescence. A
 // successful removal frees its node, which waits in limbo for its own grace
-// period instead of the commit quiescing.
+// period instead of the commit quiescing; a lone node is released at the
+// next flush point, here the thread-exit flush.
 TEST(SelectNoQ, RemovalSkipsQuiescenceNodeRidesLimbo) {
   ModeGuard g(ExecMode::StmCondVarNoQ);
   TmListSet s;
   reset_stats();
-  s.insert(1);
-  s.contains(1);
-  auto mid = aggregate_stats();
-  EXPECT_EQ(mid.quiesce_calls, 0u) << "insert/contains must skip quiescence";
-  EXPECT_EQ(mid.limbo_enqueued, 0u);
-  s.remove(1);
-  auto fin = aggregate_stats();
-  EXPECT_EQ(fin.quiesce_calls, 0u) << "the freeing removal must skip too";
-  EXPECT_EQ(fin.noquiesce_honored, 3u);
-  EXPECT_EQ(fin.limbo_enqueued, 1u) << "the removed node must ride limbo";
-  EXPECT_EQ(fin.limbo_drained, 1u);
+  std::thread([&] {
+    s.insert(1);
+    s.contains(1);
+    const auto mid = aggregate_stats();
+    EXPECT_EQ(mid.quiesce_calls, 0u) << "insert/contains must skip quiescence";
+    EXPECT_EQ(mid.limbo_enqueued, 0u);
+    s.remove(1);
+    const auto fin = aggregate_stats();
+    EXPECT_EQ(fin.quiesce_calls, 0u) << "the freeing removal must skip too";
+    EXPECT_EQ(fin.noquiesce_honored, 3u);
+    EXPECT_EQ(fin.limbo_enqueued, 1u) << "the removed node must ride limbo";
+    EXPECT_EQ(fin.limbo_drained, 0u) << "one node is below the poll batch";
+    EXPECT_EQ(TxDesc::current().limbo.size(), 1u);
+  }).join();
+  const auto fin = aggregate_stats();
+  EXPECT_EQ(fin.limbo_drained, 1u) << "thread exit must flush limbo";
   EXPECT_EQ(fin.tm_frees, 1u);
 }
 

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "tm/fault/fault.hpp"
 #include "tm/tm.hpp"
 
 namespace tle::testing {
@@ -26,6 +27,14 @@ class ModeGuard {
 
  private:
   RuntimeConfig saved_;
+};
+
+/// Disarms any env-armed fault plan for one test and re-arms it after:
+/// for tests that pin an interleaving (injected aborts would retry it away)
+/// or count limbo drains (forced flushes would drain early).
+struct FaultPlanOff {
+  FaultPlanOff() { fault::clear(); }
+  ~FaultPlanOff() { fault::init_from_env(); }
 };
 
 /// Run `fn(thread_index)` on `n` threads and join them all.

@@ -17,6 +17,7 @@ namespace {
 
 using testing::kAllModes;
 using testing::kElisionModes;
+using testing::FaultPlanOff;
 using testing::ModeGuard;
 using testing::run_threads;
 
@@ -334,25 +335,39 @@ TEST(NoQuiesce, IgnoredWhenNested) {
 // The paper's allocator rule (§IV-B: a freeing transaction must quiesce)
 // protects the freed block from concurrent readers. Here the block waits in
 // limbo for its own grace period instead, so the skip is honoured and the
-// free still reaches the allocator only through limbo.
+// free reaches the allocator only through limbo: once a batch of frees is
+// uncertified, the epoch poll certifies it in one registry snapshot.
 TEST(NoQuiesce, HonoredWhenTransactionFreesMemory) {
+  FaultPlanOff no_faults;  // forced flushes would drain below the batch
   ModeGuard g(ExecMode::StmCondVarNoQ);
+  constexpr std::size_t kBatch = TxDesc::kLimboPollBatch;
   tm_var<int*> slot(nullptr);
-  atomic_do([&](TxContext& tx) {
-    tx.write(slot, tx.create<int>(5));
-  });
+  auto free_one = [&] {
+    atomic_do([&](TxContext& tx) {
+      tx.no_quiesce();
+      tx.write(slot, tx.create<int>(5));
+    });
+    atomic_do([&](TxContext& tx) {
+      tx.no_quiesce();
+      tx.destroy(tx.read(slot));
+      tx.write(slot, static_cast<int*>(nullptr));
+    });
+  };
   reset_stats();
-  atomic_do([&](TxContext& tx) {
-    tx.no_quiesce();
-    tx.destroy(tx.read(slot));
-    tx.write(slot, static_cast<int*>(nullptr));
-  });
-  const auto s = aggregate_stats();
-  EXPECT_EQ(s.noquiesce_honored, 1u);
+  free_one();
+  auto s = aggregate_stats();
+  EXPECT_EQ(s.noquiesce_honored, 2u);
   EXPECT_EQ(s.quiesce_calls, 0u) << "the freeing commit must not wait";
   EXPECT_EQ(s.limbo_enqueued, 1u) << "the free must pass through limbo";
-  EXPECT_EQ(s.limbo_drained, 1u) << "no peer in flight: certified at once";
-  EXPECT_EQ(s.tm_frees, 1u);
+  EXPECT_EQ(s.limbo_drained, 0u) << "drained below the batch";
+  EXPECT_EQ(s.tm_frees, 0u);
+  for (std::size_t i = 1; i < kBatch; ++i) free_one();
+  s = aggregate_stats();
+  EXPECT_EQ(s.noquiesce_honored, 2 * kBatch);
+  EXPECT_EQ(s.quiesce_calls, 0u);
+  EXPECT_EQ(s.limbo_drained, kBatch)
+      << "no peer in flight: the batch is certified at its boundary";
+  EXPECT_EQ(s.tm_frees, kBatch);
 }
 
 TEST(NoQuiesce, ReadOnlySkipsQuiesceUnderWriterOnlyPolicy) {
@@ -533,6 +548,7 @@ TEST(SerialLock, WriterExcludesReaders) {
 // ---------------------------------------------------------------------------
 
 TEST(Stats, SnapshotCountsCommitsAndReadOnly) {
+  FaultPlanOff no_faults;  // an injected abort adds an attempt
   ModeGuard g(ExecMode::StmCondVar);
   reset_stats();
   tm_var<int> v(1);

@@ -333,27 +333,42 @@ TEST(PrivatizationZombie, RoutedBlocksDrainOnNextGracePeriod) {
   EXPECT_GE(after.tm_frees, 1u);
 }
 
-TEST(PrivatizationZombie, NoQuiesceIgnoredWhileHtmReadersInFlight) {
-  // no_quiesce() is a claim that the section never privatizes; under the
-  // simulated HTM that claim must not license anything downstream while
-  // lazily-validating peers are in flight. The runtime ignores the request
-  // with accounting instead of honoring it.
+TEST(PrivatizationZombie, NoQuiesceHtmFreeOutlivesHtmReaderInFlight) {
+  // no_quiesce() on a simulated-HTM section reads no peer state and
+  // licenses nothing: the section's frees still park in limbo, and a
+  // lazily-validating HTM reader in flight at the freeing commits keeps a
+  // full batch of them there until it ends.
   ModeGuard g(ExecMode::Htm);
+  constexpr std::size_t kBatch = TxDesc::kLimboPollBatch;
   tm_var<long> cell(0);
-  tm_var<long> other(0);
+  tm_var<long*> slot(nullptr);
   reset_stats();
 
   {
     HtmReaderHold hold(cell);
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      long* fresh = new long(static_cast<long>(i));
+      atomic_do([&](TxContext& tx) {
+        tx.no_quiesce();
+        tx.free(tx.read(slot));
+        tx.write(slot, fresh);
+      });
+    }
     atomic_do([&](TxContext& tx) {
       tx.no_quiesce();
-      tx.write(other, 1L);
+      tx.free(tx.read(slot));
+      tx.write(slot, static_cast<long*>(nullptr));
     });
-  }
+    const auto mid = aggregate_stats();
+    EXPECT_GE(mid.noquiesce_requests, kBatch + 1);
+    EXPECT_EQ(mid.limbo_enqueued, kBatch) << "HTM frees must ride limbo";
+    EXPECT_EQ(mid.tm_frees, 0u)
+        << "freed while an HTM reader was in flight at the freeing commit";
+  }  // reader released and joined
 
-  const auto s = aggregate_stats();
-  EXPECT_GE(s.noquiesce_ignored_htm, 1u)
-      << "no_quiesce honored while an HTM reader was in flight";
+  atomic_do([&](TxContext& tx) { (void)tx.read(cell); });  // next drain
+  const auto after = aggregate_stats();
+  EXPECT_EQ(after.tm_frees, kBatch) << "batch not released after the reader";
 }
 
 TEST(PrivatizationZombie, HtmZombieFaultHookWidensWindowSafely) {
