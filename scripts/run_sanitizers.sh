@@ -43,6 +43,9 @@ SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quie
 # handshakes while injection drives aborts and delays through them.
 FAULT_SUITES="tm_core_test sync_stress_test quiesce_stress_test limbo_poll_test"
 FAULT_SEED=20260806
+# tm_core_test also runs at small seeds: its exact-count tests must pause the
+# plan, and a pinned seed alone lets a missing pause pass by luck.
+CORE_FAULT_SEEDS="1 2 3 4 5"
 
 # Privatization suite (hard-gating): the mode-aware reclamation routing is
 # additionally driven through five seeded reruns with perturbation parked
@@ -78,6 +81,10 @@ run_preset() {
   for test in $FAULT_SUITES; do
     echo "== $test ($name, TLE_FAULT_SEED=$FAULT_SEED)"
     TLE_FAULT_SEED=$FAULT_SEED "$OUT/$test-$name"
+  done
+  for seed in $CORE_FAULT_SEEDS; do
+    echo "== tm_core_test ($name, TLE_FAULT_SEED=$seed)"
+    TLE_FAULT_SEED=$seed "$OUT/tm_core_test-$name"
   done
   for seed in $PRIV_SEEDS; do
     echo "== tm_privatization_test ($name, htm_zombie plan, seed $seed)"

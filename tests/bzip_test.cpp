@@ -3,7 +3,9 @@
 // tests and corruption detection tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <string>
 
 #include "bzip/bitio.hpp"
@@ -12,6 +14,7 @@
 #include "bzip/crc32.hpp"
 #include "bzip/huffman.hpp"
 #include "bzip/mtf_rle.hpp"
+#include "pipez/pipeline.hpp"
 #include "util/rng.hpp"
 
 namespace tle::bzip {
@@ -140,6 +143,50 @@ TEST(Bwt, RandomRoundTripProperty) {
         bwt_inverse(f.last_column.data(), n, f.primary_index);
     ASSERT_EQ(back, in) << "trial " << trial;
   }
+}
+
+// Reference BWT: a stable sort of all rotations (ties, i.e. identical
+// rotations of a periodic input, keep index order), compared with memcmp over
+// the input written out twice.
+BwtResult brute_force_bwt(const std::vector<std::uint8_t>& in) {
+  const std::size_t n = in.size();
+  std::vector<std::uint8_t> twice(in);
+  twice.insert(twice.end(), in.begin(), in.end());
+  std::vector<std::uint32_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0u);
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return std::memcmp(&twice[a], &twice[b], n) < 0;
+                   });
+  BwtResult out;
+  for (std::size_t j = 0; j < n; ++j) {
+    out.last_column.push_back(twice[rows[j] + n - 1]);
+    if (rows[j] == 0) out.primary_index = static_cast<std::uint32_t>(j);
+  }
+  return out;
+}
+
+TEST(Bwt, MatchesBruteForceRotationSort) {
+  Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 2400; ++trial) {
+    const std::size_t n = 1 + rng.below(64);
+    const auto letters = 1 + rng.below(4);
+    std::vector<std::uint8_t> in(n);
+    // Odd trials repeat a random prefix, so many rotations are identical.
+    const std::size_t period = trial % 2 ? 1 + rng.below(n) : n;
+    for (std::size_t i = 0; i < n; ++i)
+      in[i] = i < period ? static_cast<std::uint8_t>('a' + rng.below(letters))
+                         : in[i - period];
+    const auto got = bwt_forward(in.data(), n);
+    const auto want = brute_force_bwt(in);
+    ASSERT_EQ(str(got.last_column), str(want.last_column)) << "trial " << trial;
+    ASSERT_EQ(got.primary_index, want.primary_index) << "trial " << trial;
+  }
+  const auto block = pipez::make_corpus(100000, 1);
+  const auto got = bwt_forward(block.data(), block.size());
+  const auto want = brute_force_bwt(block);
+  EXPECT_TRUE(got.last_column == want.last_column);
+  EXPECT_EQ(got.primary_index, want.primary_index);
 }
 
 // ---------------------------------------------------------------------------
@@ -378,6 +425,24 @@ TEST(BlockCodec, RoundTripHighlyRepetitive) {
   const auto dec = decompress_block(comp);
   ASSERT_TRUE(dec.ok) << dec.error;
   EXPECT_EQ(dec.data, in);
+}
+
+// Pins the emitted bytes: any change to the encoder or the sort order that
+// alters the stream shows up here.
+TEST(BlockCodec, StreamIsByteStable) {
+  const auto text = pipez::make_corpus(100000, 1);
+  const auto comp = compress_block(text);
+  EXPECT_EQ(comp.size(), 14209u);
+  EXPECT_EQ(crc32(comp.data(), comp.size()), 0xF90F80F8u);
+
+  // Period 18 over 18000 bytes: every rotation has 999 identical twins.
+  const std::string phrase = "lock elide commit ";
+  std::vector<std::uint8_t> periodic;
+  for (int i = 0; i < 1000; ++i)
+    periodic.insert(periodic.end(), phrase.begin(), phrase.end());
+  const auto pcomp = compress_block(periodic);
+  EXPECT_EQ(pcomp.size(), 225u);
+  EXPECT_EQ(crc32(pcomp.data(), pcomp.size()), 0xB1C506CDu);
 }
 
 TEST(BlockCodec, RandomSizesProperty) {
