@@ -214,9 +214,11 @@ CellResult run_cell(const Regime& regime, bool frees, int threads,
         critical(wlock, TLE_TX_SITE("qsc/cleanup"),
                  [&](TxContext& tx) { tx.destroy(prev); });
       txns.fetch_add(lt, std::memory_order_relaxed);
-      // Per-thread invariant: our words hold the last sequence we wrote.
+      // Per-thread invariant: our words hold the last sequence we wrote, or
+      // stay 0 if the stop flag beat our first transaction (seq == 0).
       for (int i = 0; i < kTxWrites; ++i)
-        check(mine[i].unsafe_get() == seq + i, "writer final state");
+        check(mine[i].unsafe_get() == (seq ? seq + i : 0),
+              "writer final state");
     });
   }
   Stopwatch sw;

@@ -10,7 +10,7 @@
 # windowed metrics sampler ticking against live counter bumps), and the contention
 # governor (storm-window folding, token gate, drain waits under racing
 # serial writers), and the striped commit sequence (per-stripe seqlock
-# acquisition/release ordering, lazy subscription, deferred gclock CAS).
+# acquisition/release ordering, lazy subscription).
 #
 #   asan  — AddressSanitizer + UBSan: catches use-after-free of limbo'd
 #           nodes, i.e. frees released before a covering grace period.

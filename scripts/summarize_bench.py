@@ -224,10 +224,8 @@ def summarize_commit_scale(path):
 def summarize_stm_algo(path):
     """Commit-protocol shoot-out table from BENCH_stm_algo.json
     ("tle-stm-algo/v1", emitted by bench/abl_stm_algo): speculative
-    commits/s per {algo, mix, threads} cell for ml_wt / gl_wt / tictoc
-    behind the StmProtocol seam, plus the tictoc-vs-ml_wt read-mostly
-    acceptance ratio and the TicToc-specific counters (rts extensions,
-    certification failures, commit-window lock waits/timeouts)."""
+    commits/s per {algo, mix, threads} cell for ml_wt / gl_wt behind the
+    StmProtocol seam, with each row's conflict/validation abort totals."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -251,21 +249,7 @@ def summarize_stm_algo(path):
         tag = f"  {mix:12s} {algo:7s} " + "  ".join(parts)
         if conflict or valid:
             tag += f"   (conflict={conflict:.0f} validation={valid:.0f})"
-        ext = sum(c.get("tictoc_extensions", 0) for c in cells)
-        if ext:
-            tag += (f" ext={ext:.0f}"
-                    f" ext_fail="
-                    f"{sum(c.get('tictoc_extension_fails', 0) for c in cells):.0f}"
-                    f" waits="
-                    f"{sum(c.get('tictoc_wts_waits', 0) for c in cells):.0f}"
-                    f" lock_to="
-                    f"{sum(c.get('tictoc_lock_timeouts', 0) for c in cells):.0f}")
         print(tag)
-    acc = doc.get("acceptance", {})
-    if acc.get("commits_ratio") is not None:
-        print(f"  acceptance @ {acc.get('threads', '?')}T "
-              f"{acc.get('mix', '?')}: tictoc/ml_wt commits ratio "
-              f"{acc.get('commits_ratio', 0):.2f}x (>= 1.5 full run)")
 
 
 def summarize_adapt(path):

@@ -23,13 +23,10 @@ enum class ExecMode : std::uint8_t {
 /// Which STM algorithm the Stm* modes run. MlWt/GlWt mirror GCC libitm's
 /// method groups: ml_wt (the default the paper used) and gl_wt (a single
 /// global versioned lock, TML-style — cheap reads, zero write concurrency).
-/// TicToc is the timestamped-OCC third instance of the commit-protocol seam
-/// (src/tm/protocol/): write-back, per-orec {write_ts, read_ts}, commit-time
-/// timestamp allocation with read-set extension — no global clock at all.
+/// Each is one instance of the commit-protocol seam (src/tm/protocol/).
 enum class StmAlgo : std::uint8_t {
   MlWt,    ///< multiple orec locks, write-through (TinySTM-flavoured)
   GlWt,    ///< one global versioned lock, write-through
-  TicToc,  ///< timestamped OCC, write-back (TicToc-flavoured)
 };
 
 /// When a committing STM transaction performs the epoch-based quiescence wait.
@@ -67,21 +64,11 @@ enum class HtmSubscription : std::uint8_t {
           ///< kept as the measurable reproduction of Dice et al.'s hazard)
 };
 
-/// How ml_wt commits interact with the global clock line.
-enum class StmClockMode : std::uint8_t {
-  Eager,     ///< every write commit fetch_add's gclock (TL2 GV4-style); the
-             ///< unique wv enables the skip-validation fast path
-  Deferred,  ///< GV5-style: wv = gclock+1 without the RMW; commits always
-             ///< validate, readers advance the clock on first contact with
-             ///< a fresher timestamp (de-contends the clock line)
-};
-
 const char* to_string(ExecMode m) noexcept;
 const char* to_string(StmAlgo a) noexcept;
 const char* to_string(QuiescePolicy p) noexcept;
 const char* to_string(AbortCause c) noexcept;
 const char* to_string(HtmSubscription s) noexcept;
-const char* to_string(StmClockMode m) noexcept;
 
 /// Global knobs. Mutated only between phases (never while transactions run).
 struct RuntimeConfig {
@@ -139,12 +126,6 @@ struct RuntimeConfig {
   /// Fallback-lock subscription policy for the simulated HTM. Lazy is the
   /// deliberately unsafe Dice et al. reproduction — see HtmSubscription.
   HtmSubscription htm_subscription = HtmSubscription::Eager;
-
-  /// Global-clock commit protocol for ml_wt — see StmClockMode. Meaningful
-  /// only for stm_algo=ml_wt: gl_wt has its own version word and tictoc has
-  /// no global clock at all, so validate_config() rejects tictoc+deferred
-  /// instead of silently ignoring the knob.
-  StmClockMode stm_clock_mode = StmClockMode::Eager;
 
   /// Ablation A3: when true, each elidable_mutex forms its own quiescence
   /// domain instead of the single erased-lock domain of Section IV-A.

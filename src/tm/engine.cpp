@@ -2,11 +2,10 @@
 //
 //   * STM: the commit protocol is a compile-time policy behind the
 //     StmProtocol seam (protocol/protocol.hpp) — ml_wt (encounter-time orec
-//     locks + TinySTM extension), gl_wt (TML global versioned lock), and
-//     tictoc (timestamped OCC, write-back, no global clock). This file owns
-//     everything protocol-independent: epochs, quiescence (paper Section
-//     IV), limbo reclamation, serial fallback, stats/obs, and the dispatch
-//     into the selected policy.
+//     locks + TinySTM extension) and gl_wt (TML global versioned lock). This
+//     file owns everything protocol-independent: epochs, quiescence (paper
+//     Section IV), limbo reclamation, serial fallback, stats/obs, and the
+//     dispatch into the selected policy.
 //   * Simulated HTM: NOrec-shaped, with the commit sequence STRIPED — a
 //     table of padded seqlock words sharded by address (meta.hpp). A
 //     committer bumps only the stripes its write set touches (ascending
@@ -42,20 +41,17 @@ using protocol::detail::maybe_perturb;
 using protocol::detail::st;
 
 // Observability helpers: logged-set sizes for the flight recorder, read
-// while the logs are still intact (i.e. before clear_logs()). The STM sizes
-// are policy-defined (e.g. tictoc counts its buffered write set, not the
-// undo log it never keeps).
+// while the logs are still intact (i.e. before clear_logs()). Both STM
+// protocols write through an undo log; gl_wt logs no read set.
 std::uint32_t obs_rset(const TxDesc& tx) noexcept {
-  if (tx.access == AccessMode::Htm)
-    return static_cast<std::uint32_t>(tx.hreads.size());
-  return stm_protocol_dispatch(
-      tx.algo, [&](auto p) { return decltype(p)::rset_size(tx); });
+  return static_cast<std::uint32_t>(tx.access == AccessMode::Htm
+                                        ? tx.hreads.size()
+                                        : tx.reads.size());
 }
 std::uint32_t obs_wset(const TxDesc& tx) noexcept {
-  if (tx.access == AccessMode::Htm)
-    return static_cast<std::uint32_t>(tx.hwrites.size());
-  return stm_protocol_dispatch(
-      tx.algo, [&](auto p) { return decltype(p)::wset_size(tx); });
+  return static_cast<std::uint32_t>(tx.access == AccessMode::Htm
+                                        ? tx.hwrites.size()
+                                        : tx.undo.size());
 }
 
 // ---------------------------------------------------------------------------

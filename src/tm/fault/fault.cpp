@@ -116,7 +116,6 @@ constexpr NameMap kHookNames[] = {
     {"cv_timeout", static_cast<int>(Hook::CvTimeout)},
     {"gov_drain", static_cast<int>(Hook::GovDrain)},
     {"gov_gate", static_cast<int>(Hook::GovGate)},
-    {"tt_commit", static_cast<int>(Hook::TtCommit)},
     {"htm_zombie", static_cast<int>(Hook::HtmZombieLoad)},
     {"ctl_tick", static_cast<int>(Hook::CtlTick)},
 };
@@ -178,9 +177,8 @@ bool parse_rule(const char* tok, std::size_t len, Rule& out) noexcept {
     out.kind = ActionKind::Abort;
     out.cause = static_cast<AbortCause>(cause);
     // Abort rules only make sense at speculative decision points: the
-    // begin/read/write/commit quartet plus tictoc's in-commit window.
-    if (static_cast<int>(out.hook) > static_cast<int>(Hook::Commit) &&
-        out.hook != Hook::TtCommit)
+    // begin/read/write/commit quartet.
+    if (static_cast<int>(out.hook) > static_cast<int>(Hook::Commit))
       return false;
   }
 

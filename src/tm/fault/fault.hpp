@@ -57,7 +57,6 @@ enum class Hook : std::uint8_t {
   CvTimeout,      ///< tx_condvar: timed out, before the withdraw attempt
   GovDrain,       ///< governor: before a serial-pending drain wait
   GovGate,        ///< governor: each pass of a storm-gate admission wait
-  TtCommit,       ///< tictoc commit: inside the lock->validate->publish window
   HtmZombieLoad,  ///< simulated-HTM read: post-peer-commit, pre-revalidation
   CtlTick,        ///< adaptive-controller evaluation pass (perturbation
                   ///< only: delay/yield shift the controller relative to

@@ -94,10 +94,6 @@ std::vector<SiteProfile> collect_site_profiles() {
       p.stripe_bumps += ld(c.stripe_bumps);
       p.stripe_false_revalidations += ld(c.stripe_false_revalidations);
       p.lazy_sub_commits += ld(c.lazy_sub_commits);
-      p.tictoc_extensions += ld(c.tictoc_extensions);
-      p.tictoc_extension_fails += ld(c.tictoc_extension_fails);
-      p.tictoc_wts_waits += ld(c.tictoc_wts_waits);
-      p.tictoc_lock_timeouts += ld(c.tictoc_lock_timeouts);
       p.htm_routed_frees += ld(c.htm_routed_frees);
       p.priv_limbo_routed += ld(c.priv_limbo_routed);
       p.audit_hazard_arms += ld(c.audit_hazard_arms);
@@ -229,14 +225,6 @@ std::string obs_json() {
                (unsigned long long)p.stripe_bumps,
                (unsigned long long)p.stripe_false_revalidations,
                (unsigned long long)p.lazy_sub_commits);
-    append_fmt(out,
-               "\"tictoc_extensions\":%llu,"
-               "\"tictoc_extension_fails\":%llu,\"tictoc_wts_waits\":%llu,"
-               "\"tictoc_lock_timeouts\":%llu,",
-               (unsigned long long)p.tictoc_extensions,
-               (unsigned long long)p.tictoc_extension_fails,
-               (unsigned long long)p.tictoc_wts_waits,
-               (unsigned long long)p.tictoc_lock_timeouts);
     append_fmt(out,
                "\"htm_routed_frees\":%llu,\"priv_limbo_routed\":%llu,"
                "\"audit_hazard_arms\":%llu,",

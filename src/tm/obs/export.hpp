@@ -37,10 +37,6 @@ struct SiteProfile {
   std::uint64_t stripe_bumps = 0;
   std::uint64_t stripe_false_revalidations = 0;
   std::uint64_t lazy_sub_commits = 0;
-  std::uint64_t tictoc_extensions = 0;
-  std::uint64_t tictoc_extension_fails = 0;
-  std::uint64_t tictoc_wts_waits = 0;
-  std::uint64_t tictoc_lock_timeouts = 0;
   std::uint64_t htm_routed_frees = 0;
   std::uint64_t priv_limbo_routed = 0;
   std::uint64_t audit_hazard_arms = 0;

@@ -118,10 +118,6 @@ void reset_site_profiles() noexcept {
       zero(c.stripe_bumps);
       zero(c.stripe_false_revalidations);
       zero(c.lazy_sub_commits);
-      zero(c.tictoc_extensions);
-      zero(c.tictoc_extension_fails);
-      zero(c.tictoc_wts_waits);
-      zero(c.tictoc_lock_timeouts);
       for (auto& a : c.aborts) zero(a);
       for (auto& b : c.attempt_ns.buckets) zero(b);
       for (auto& b : c.quiesce_ns.buckets) zero(b);

@@ -96,10 +96,6 @@ struct SiteCounters {
   Counter stripe_bumps{0};          ///< commit stripes acquired by commits
   Counter stripe_false_revalidations{0};  ///< stripe moved, values unchanged
   Counter lazy_sub_commits{0};      ///< commits under lazy subscription
-  Counter tictoc_extensions{0};       ///< tictoc rts CAS extensions
-  Counter tictoc_extension_fails{0};  ///< tictoc extensions failed: value changed
-  Counter tictoc_wts_waits{0};        ///< tictoc bounded waits on a locked orec
-  Counter tictoc_lock_timeouts{0};    ///< tictoc lock waits that expired
   Counter htm_routed_frees{0};    ///< serial-exit frees limbo-routed: HTM risk
   Counter priv_limbo_routed{0};   ///< tm_private_free blocks parked in limbo
   Counter audit_hazard_arms{0};   ///< §IV-C hazards armed by this site's commits

@@ -71,15 +71,6 @@ struct GlWt {
       tx.gl_writer = false;
     }
   }
-
-  // gl_wt logs no read set (per-read validation against the one global
-  // word); the undo log counts written words, as for ml_wt.
-  static std::uint32_t rset_size(const TxDesc& tx) noexcept {
-    return static_cast<std::uint32_t>(tx.reads.size());
-  }
-  static std::uint32_t wset_size(const TxDesc& tx) noexcept {
-    return static_cast<std::uint32_t>(tx.undo.size());
-  }
 };
 
 }  // namespace tle::protocol

@@ -36,23 +36,6 @@ struct MlWt {
     tx.rv = now;
   }
 
-  /// Deferred-clock mode (GV5): a committer publishes timestamps WITHOUT
-  /// bumping gclock, so the first reader to meet a fresher orec pushes the
-  /// clock forward instead. The CAS-max loop races benignly with peers; only
-  /// the thread whose CAS lands counts the advance. After this, extend's
-  /// clock load observes >= ts and the triggering read can be accepted.
-  static void note_stale(TxDesc& tx, std::uint64_t ts) {
-    if (config().stm_clock_mode != StmClockMode::Deferred) return;
-    std::uint64_t cur = gclock().load(std::memory_order_relaxed);
-    while (cur < ts) {
-      if (gclock().compare_exchange_weak(cur, ts,
-                                         std::memory_order_acq_rel)) {
-        detail::st(tx).bump(detail::st(tx).gclock_advances);
-        return;
-      }
-    }
-  }
-
   static void begin(TxDesc& tx) {
     tx.rv = gclock().load(std::memory_order_acquire);
   }
@@ -72,7 +55,6 @@ struct MlWt {
         tx_abort(tx, AbortCause::Conflict);
       }
       if (orec_timestamp(ov) > tx.rv) {
-        note_stale(tx, orec_timestamp(ov));
         extend(tx);
         continue;  // re-read under the extended snapshot
       }
@@ -108,7 +90,6 @@ struct MlWt {
         break;  // already own it
       }
       if (orec_timestamp(ov) > tx.rv) {
-        note_stale(tx, orec_timestamp(ov));
         extend(tx);
         continue;
       }
@@ -117,8 +98,6 @@ struct MlWt {
                                     std::memory_order_acq_rel)) {
         tx.owned_idx.insert(&o, static_cast<std::uint32_t>(tx.owned.size()));
         tx.owned.push_back({&o, ov});
-        if (orec_timestamp(ov) > tx.wv_floor)
-          tx.wv_floor = orec_timestamp(ov);
         break;
       }
       // Lost the race; loop re-examines the new value.
@@ -129,35 +108,11 @@ struct MlWt {
   }
 
   static void commit(TxDesc& tx) {
-    const bool deferred = config().stm_clock_mode == StmClockMode::Deferred;
-    if (tx.read_only) {
-      // Deferred mode gives up the eager clock's per-read opacity guarantee:
-      // a concurrent commit can share our rv, so the snapshot must be
-      // re-validated before its results escape the section (GV5's documented
-      // cost — the RMW saved at every write commit is paid back only by
-      // read-only commits that actually raced one).
-      if (deferred && !tx.reads.empty()) validate(tx);
-      return;
-    }
-    std::uint64_t wv;
-    if (deferred) {
-      // GV5: wv = gclock+1 WITHOUT the global RMW. The price of the saved
-      // fetch_add is that wv is not unique, so (a) the skip-validation fast
-      // path below is unsound here — always validate — and (b) wv must
-      // exceed every owned orec's previous timestamp (wv_floor) so per-orec
-      // timestamps stay strictly increasing, and this thread's own clock
-      // cache so its commit order stays monotonic.
-      wv = gclock().load(std::memory_order_acquire) + 1;
-      if (tx.clock_cache + 1 > wv) wv = tx.clock_cache + 1;
-      if (tx.wv_floor + 1 > wv) wv = tx.wv_floor + 1;
-      validate(tx);
-      tx.clock_cache = wv;
-    } else {
-      wv = gclock().fetch_add(1, std::memory_order_acq_rel) + 1;
-      // If nobody committed since we started, the read set is trivially
-      // valid.
-      if (wv != tx.rv + 1) validate(tx);
-    }
+    if (tx.read_only) return;
+    const std::uint64_t wv =
+        gclock().fetch_add(1, std::memory_order_acq_rel) + 1;
+    // If nobody committed since we started, the read set is trivially valid.
+    if (wv != tx.rv + 1) validate(tx);
     for (const OwnedOrec& o : tx.owned)
       o.orec->store(orec_commit_release(o.prev, wv),
                     std::memory_order_release);
@@ -171,14 +126,6 @@ struct MlWt {
     // bump invalidates readers racing with our speculation.
     for (const OwnedOrec& o : tx.owned)
       o.orec->store(orec_abort_release(o.prev), std::memory_order_release);
-  }
-
-  // Logged-set sizes for the flight recorder (read before clear_logs()).
-  static std::uint32_t rset_size(const TxDesc& tx) noexcept {
-    return static_cast<std::uint32_t>(tx.reads.size());
-  }
-  static std::uint32_t wset_size(const TxDesc& tx) noexcept {
-    return static_cast<std::uint32_t>(tx.undo.size());
   }
 };
 

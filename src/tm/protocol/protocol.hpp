@@ -5,7 +5,7 @@
 // per-thread TxDesc; the engine (engine.cpp) owns everything OUTSIDE the
 // protocol — slot/epoch lifecycle, quiescence and limbo reclamation, serial
 // fallback, the governor's retry dispatch, stats aggregation and the flight
-// recorder — and calls into the policy at six points:
+// recorder — and calls into the policy at five points:
 //
 //   static constexpr StmAlgo kAlgo;        // the enumerator it implements
 //   static void begin(TxDesc&);            // snapshot/setup after clear_logs
@@ -13,8 +13,6 @@
 //   static void write(TxDesc&, std::atomic<std::uint64_t>&, std::uint64_t);
 //   static void commit(TxDesc&);           // publish or abort (via tx_abort)
 //   static void rollback(TxDesc&) noexcept;  // undo + release; longjmp-safe
-//   static std::uint32_t rset_size(const TxDesc&);  // flight-recorder sizes,
-//   static std::uint32_t wset_size(const TxDesc&);  // read before clear_logs
 //
 // Obligations on a policy:
 //   * abort only via tx_abort(tx, cause) with an honest AbortCause — the
@@ -32,20 +30,18 @@
 // is no vtable and no function pointer anywhere on the read/write path. The
 // default protocol (ml_wt) is deliberately the fallthrough arm so its inlined
 // body sits on the straight-line path of tx_read_word/tx_write_word. Adding a
-// protocol = one header with the eight members, one enumerator in StmAlgo,
+// protocol = one header with the six members, one enumerator in StmAlgo,
 // one branch below, one line in to_string/parse — the engine does not change.
 #pragma once
 
 #include "tm/protocol/glwt.hpp"
 #include "tm/protocol/mlwt.hpp"
-#include "tm/protocol/tictoc.hpp"
 
 namespace tle::protocol {
 
 template <typename F>
 decltype(auto) stm_protocol_dispatch(StmAlgo algo, F&& f) {
   if (algo == StmAlgo::GlWt) return f(GlWt{});
-  if (algo == StmAlgo::TicToc) return f(TicToc{});
   return f(MlWt{});
 }
 

@@ -37,11 +37,6 @@ GlLock g_gl_lock;
 // libitm's table.
 std::atomic<std::uint64_t> g_orecs[kOrecCount];
 
-// TicToc's own orec table (see the design note in meta.hpp: its per-footprint
-// timestamps are not coherent with ml_wt's global clock, so the tables must
-// not be shared across an stm_algo switch between phases).
-std::atomic<std::uint64_t> g_tictoc_orecs[kOrecCount];
-
 SerialLock g_serial_lock;
 
 }  // namespace
@@ -65,10 +60,6 @@ const char* validate_config(const RuntimeConfig& cfg) noexcept {
   if (cfg.htm_seq_stripes == 0 || cfg.htm_seq_stripes > kHtmStripeMax ||
       (cfg.htm_seq_stripes & (cfg.htm_seq_stripes - 1)) != 0)
     return "htm_seq_stripes must be a power of two in [1, kHtmStripeMax]";
-  if (cfg.stm_algo == StmAlgo::TicToc &&
-      cfg.stm_clock_mode != StmClockMode::Eager)
-    return "stm_clock_mode applies only to ml_wt: tictoc has no global "
-           "clock (leave stm_clock_mode at Eager with stm_algo=tictoc)";
   if (cfg.metrics_period_ms == 0) return "metrics_period_ms must be >= 1";
   if (cfg.metrics_history == 0) return "metrics_history must be >= 1";
   if (cfg.controller && !cfg.metrics)
@@ -115,13 +106,6 @@ std::atomic<std::uint64_t>& orec_for(const void* addr) noexcept {
   return g_orecs[idx];
 }
 
-std::atomic<std::uint64_t>& tictoc_orec_for(const void* addr) noexcept {
-  const std::uintptr_t word = reinterpret_cast<std::uintptr_t>(addr) >> 3;
-  const std::size_t idx =
-      (word * 0x9E3779B97F4A7C15ULL) >> (64 - kOrecBits);
-  return g_tictoc_orecs[idx];
-}
-
 unsigned htm_stripe_index(const void* addr) noexcept {
   // Block-granular orec_for-style Fibonacci mix: addresses in the same
   // 512-byte block share a stripe, distinct blocks scatter uniformly. See
@@ -158,7 +142,6 @@ const char* to_string(StmAlgo a) noexcept {
   switch (a) {
     case StmAlgo::MlWt: return "ml_wt";
     case StmAlgo::GlWt: return "gl_wt";
-    case StmAlgo::TicToc: return "tictoc";
   }
   return "?";
 }
@@ -192,14 +175,6 @@ const char* to_string(HtmSubscription s) noexcept {
   switch (s) {
     case HtmSubscription::Eager: return "eager";
     case HtmSubscription::Lazy: return "lazy";
-  }
-  return "?";
-}
-
-const char* to_string(StmClockMode m) noexcept {
-  switch (m) {
-    case StmClockMode::Eager: return "eager";
-    case StmClockMode::Deferred: return "deferred";
   }
   return "?";
 }
@@ -256,8 +231,6 @@ std::string StatsSnapshot::report() const {
       "  spurious (sim)      %12llu\n"
       "  stripe-busy         %12llu\n"
       "stripe bumps/f-revals %12llu / %llu (lazy-sub commits %llu)\n"
-      "gclock advances (GV5) %12llu\n"
-      "tictoc ext ok/fail    %12llu / %llu (lock waits %llu, timeouts %llu)\n"
       "quiesce calls/waits   %12llu / %llu (spins %llu, blocked %.3f ms)\n"
       "grace scans/shared    %12llu / %llu (parked waits %llu)\n"
       "limbo enq/drained     %12llu / %llu (forced flushes %llu)\n"
@@ -291,11 +264,6 @@ std::string StatsSnapshot::report() const {
       (unsigned long long)stripe_bumps,
       (unsigned long long)stripe_false_revalidations,
       (unsigned long long)lazy_sub_commits,
-      (unsigned long long)gclock_advances,
-      (unsigned long long)tictoc_extensions,
-      (unsigned long long)tictoc_extension_fails,
-      (unsigned long long)tictoc_wts_waits,
-      (unsigned long long)tictoc_lock_timeouts,
       (unsigned long long)quiesce_calls, (unsigned long long)quiesce_waits,
       (unsigned long long)quiesce_spins, quiesce_wait_ns / 1e6,
       (unsigned long long)grace_scans, (unsigned long long)grace_shared,

@@ -58,11 +58,6 @@ namespace tle {
   X(stripe_bumps, "commit-sequence stripes acquired by HTM commits")        \
   X(stripe_false_revalidations, "stripe revalidations with no value change") \
   X(lazy_sub_commits, "HTM commits under lazy fallback-lock subscription")  \
-  X(gclock_advances, "deferred-clock CAS advances by readers (GV5)")        \
-  X(tictoc_extensions, "tictoc read-entry rts extensions (CAS bumps)")      \
-  X(tictoc_extension_fails, "tictoc extensions failed: value changed")      \
-  X(tictoc_wts_waits, "tictoc bounded waits on a locked orec")              \
-  X(tictoc_lock_timeouts, "tictoc bounded lock waits that expired")         \
   X(faults_injected, "aborts fired by the fault-injection plan")            \
   X(fault_delays, "schedule perturbations executed by the plan")            \
   X(fault_forced_serial, "serial-mode entries forced by the plan")          \

@@ -190,24 +190,6 @@ struct UndoEntry {
   std::uint64_t old;
 };
 
-/// TicToc read-set entry: (addr, value, timestamps) — the value makes
-/// extension validation ABA-tolerant (a re-write of the same value passes),
-/// `seen` carries the {wts, rts} word the read was consistent at.
-struct TicTocRead {
-  std::atomic<std::uint64_t>* orec;
-  const std::atomic<std::uint64_t>* addr;
-  std::uint64_t seen;  ///< unlocked tictoc orec word observed at read time
-  std::uint64_t val;   ///< value observed (revalidated on extension)
-};
-
-/// TicToc write-buffer entry (write-back: memory is untouched until the
-/// commit's lock→validate→publish window).
-struct TicTocWrite {
-  std::atomic<std::uint64_t>* addr;
-  std::atomic<std::uint64_t>* orec;  ///< resolved at write time, once
-  std::uint64_t val;
-};
-
 struct HtmRead {
   const std::atomic<std::uint64_t>* addr;
   std::uint64_t val;
@@ -282,15 +264,6 @@ struct TxDesc {
 
   // --- STM -------------------------------------------------------------
   std::uint64_t rv = 0;   ///< validity timestamp (snapshot)
-  /// Deferred-clock mode (GV5): highest wv this thread ever committed at.
-  /// Persists across transactions — per-thread monotonicity keeps a thread's
-  /// own commit timestamps strictly increasing without touching gclock.
-  std::uint64_t clock_cache = 0;
-  /// Deferred-clock mode: max pre-lock timestamp among owned orecs this
-  /// transaction. wv must exceed it so per-orec timestamps stay strictly
-  /// increasing (two same-wv commits re-releasing one orec at an identical
-  /// word would defeat readers' validation).
-  std::uint64_t wv_floor = 0;
   bool gl_writer = false; ///< gl_wt: this txn holds the global write lock
   bool read_only = true;
   std::vector<ReadEntry> reads;
@@ -298,22 +271,6 @@ struct TxDesc {
   std::vector<UndoEntry> undo;
   AddrIndex read_idx;   ///< orec -> reads[] position (repeat-read filter)
   AddrIndex owned_idx;  ///< orec -> owned[] position (O(1) validation)
-
-  // --- TicToc (timestamped OCC, write-back) ------------------------------
-  // The commit-time lock set reuses `owned`/`owned_idx` above: an entry is
-  // pushed as each write orec is CAS-locked, so rollback from any abort
-  // inside the commit window restores exactly the words taken so far.
-  /// Coverage timestamp: every tt_reads entry is certified valid at tt_rv
-  /// (in-flight extension maintains this, which is what keeps speculative
-  /// snapshots opaque — zombies never see a mixed-epoch view).
-  std::uint64_t tt_rv = 0;
-  std::vector<TicTocRead> tt_reads;
-  std::vector<TicTocWrite> tt_writes;
-  AddrIndex tt_read_idx;   ///< orec -> tt_reads[] position (repeat filter)
-  AddrIndex tt_write_idx;  ///< cell -> tt_writes[] position (read-own-write)
-  /// Commit scratch: distinct write-set orecs, address-ordered for the
-  /// deadlock-free lock phase. Member (not stack) to keep its capacity.
-  std::vector<std::atomic<std::uint64_t>*> tt_lock_order;
 
   // --- simulated HTM -------------------------------------------------------
   std::vector<HtmRead> hreads;
@@ -439,18 +396,11 @@ struct TxDesc {
     undo.clear();
     hreads.clear();
     hwrites.clear();
-    tt_reads.clear();
-    tt_writes.clear();
-    tt_lock_order.clear();
     read_idx.new_txn();
     owned_idx.new_txn();
     hread_idx.new_txn();
     hwrite_idx.new_txn();
-    tt_read_idx.new_txn();
-    tt_write_idx.new_txn();
     stripes_new_txn();
-    wv_floor = 0;
-    tt_rv = 0;
     allocs.clear();
     frees.clear();
     deferred.clear();

@@ -46,7 +46,7 @@ struct Box {
 };
 
 // Exec-mode × commit-protocol matrix: the reclamation-routing decision must
-// be identical whichever protocol instance (ml_wt / gl_wt / tictoc) sits
+// be identical whichever protocol instance (ml_wt / gl_wt) sits
 // behind the seam, and in HTM mode must not depend on the (unused) STM
 // algorithm at all.
 using PrivParam = std::tuple<ExecMode, StmAlgo>;
@@ -58,8 +58,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ExecMode::StmCondVar,
                                          ExecMode::StmCondVarNoQ,
                                          ExecMode::Htm),
-                       ::testing::Values(StmAlgo::MlWt, StmAlgo::GlWt,
-                                         StmAlgo::TicToc)),
+                       ::testing::Values(StmAlgo::MlWt, StmAlgo::GlWt)),
     [](const auto& info) {
       std::string s = std::string(to_string(std::get<0>(info.param))) + "_" +
                       to_string(std::get<1>(info.param));

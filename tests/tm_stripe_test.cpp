@@ -1,5 +1,5 @@
-// Tests for the striped simulated-HTM commit sequence, subscription
-// policy, and the GV5-style deferred STM clock:
+// Tests for the striped simulated-HTM commit sequence and its subscription
+// policy:
 //
 //   * stripe mapping determinism, config validation, stripe_of() agreement;
 //   * the intersection matrix: a commit on a foreign stripe is invisible to
@@ -13,8 +13,7 @@
 //     provably aborts the reader instead;
 //   * StripeBusy is injectable by name, drained budget-free, and bounded
 //     by the watchdog;
-//   * seeded fault plans replay byte-identically over this scenario;
-//   * the deferred (GV5) clock mode keeps counter workloads exact.
+//   * seeded fault plans replay byte-identically over this scenario.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,7 +38,6 @@ using tle::htm_stripe_index;
 using tle::kHtmStripeMax;
 using tle::reset_stats;
 using tle::StatsSnapshot;
-using tle::StmClockMode;
 using tle::stripe_of;
 using tle::synchronized_do;
 using tle::tm_var;
@@ -429,73 +427,6 @@ TEST(SeededReplay, SameSeedYieldsByteIdenticalInjectionReport) {
   EXPECT_GT(first.injected_total(), 0u);
   EXPECT_TRUE(first == second);
   EXPECT_EQ(first_report, second_report);  // byte-identical replay
-}
-
-// ---------------------------------------------------------------------------
-// Deferred (GV5) STM clock
-// ---------------------------------------------------------------------------
-
-TEST(DeferredClock, CounterWorkloadStaysExact) {
-  ModeGuard mode(ExecMode::StmCondVar);
-  config().stm_clock_mode = StmClockMode::Deferred;
-  reset_stats();
-  tm_var<long> a{0}, b{0};
-  constexpr int kThreads = 4;
-  constexpr int kIters = 500;
-  run_threads(kThreads, [&](int) {
-    for (int i = 0; i < kIters; ++i)
-      atomic_do([&](TxContext& ctx) {
-        const long v = ctx.read(a);
-        ctx.write(a, v + 1);
-        ctx.write(b, v + 1);  // invariant: a == b at every commit point
-      });
-  });
-  EXPECT_EQ(a.unsafe_get(), kThreads * kIters);
-  EXPECT_EQ(b.unsafe_get(), kThreads * kIters);
-}
-
-TEST(DeferredClock, ReadersSeeTheInvariantAndMayAdvanceTheClock) {
-  ModeGuard mode(ExecMode::StmCondVar);
-  config().stm_clock_mode = StmClockMode::Deferred;
-  reset_stats();
-  tm_var<long> a{0}, b{0};
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn{0};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      long ra = -1, rb = -1;
-      atomic_do([&](TxContext& ctx) {
-        ra = ctx.read(a);
-        rb = ctx.read(b);
-      });
-      if (ra != rb) torn.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (int i = 0; i < 2000; ++i)
-    atomic_do([&](TxContext& ctx) {
-      const long v = ctx.read(a);
-      ctx.write(a, v + 1);
-      ctx.write(b, v + 1);
-    });
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  // Deferred wv assignment never hands a reader a mixed a/b pair: read-only
-  // commits validate, and stale orecs CAS-advance the clock before extend.
-  EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(a.unsafe_get(), 2000);
-}
-
-TEST(DeferredClock, EagerModeUnchangedByTheKnob) {
-  ModeGuard mode(ExecMode::StmCondVar);
-  config().stm_clock_mode = StmClockMode::Eager;
-  reset_stats();
-  tm_var<long> a{0};
-  run_threads(2, [&](int) {
-    for (int i = 0; i < 300; ++i)
-      atomic_do([&](TxContext& ctx) { ctx.fetch_add(a, 1L); });
-  });
-  EXPECT_EQ(a.unsafe_get(), 600);
-  EXPECT_EQ(aggregate_stats().gclock_advances, 0u);  // deferred-only counter
 }
 
 }  // namespace
