@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "bzip/block_codec.hpp"
 #include "pipez/pipeline.hpp"
 #include "tm/control/control.hpp"
 #include "tm/obs/metrics.hpp"
@@ -103,6 +104,11 @@ int main(int argc, char** argv) {
       selftest_mb = std::atol(next());
     else
       positional.push_back(a);
+  }
+  if (cfg.block_size > tle::bzip::kMaxBlockBytes) {
+    std::fprintf(stderr, "block size %zu exceeds the codec's limit of %zu\n",
+                 cfg.block_size, tle::bzip::kMaxBlockBytes);
+    return 2;
   }
   std::printf("mode=%s threads=%d block=%zu\n",
               tle::to_string(tle::config().mode), cfg.worker_threads,

@@ -10,7 +10,9 @@
 # windowed metrics sampler ticking against live counter bumps), and the contention
 # governor (storm-window folding, token gate, drain waits under racing
 # serial writers), and the striped commit sequence (per-stripe seqlock
-# acquisition/release ordering, lazy subscription).
+# acquisition/release ordering, lazy subscription), and the bzip codec with
+# the pipez pipeline over it (the bit reader and the fused block decoder
+# parse untrusted bytes; the fuzz suite feeds them corrupt blocks).
 #
 #   asan  — AddressSanitizer + UBSan: catches use-after-free of limbo'd
 #           nodes, i.e. frees released before a covering grace period.
@@ -29,14 +31,21 @@ LIBS="-lgtest -lgtest_main -pthread"
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 
+BZIP_SRCS="src/bzip/block_codec.cpp src/bzip/bwt.cpp src/bzip/huffman.cpp src/bzip/mtf_rle.cpp"
+
 # suite -> extra sources beyond the TM core.
 suite_extra() {
   case "$1" in
     tm_privatization_test|sync_stress_test|fault_injection_test) echo "src/sync/tx_condvar.cpp" ;;
+    bzip_fuzz_test) echo "$BZIP_SRCS" ;;
+    bzip_test|pipez_test) echo "$BZIP_SRCS src/pipez/pipeline.cpp src/sync/tx_condvar.cpp" ;;
     *) echo "" ;;
   esac
 }
-SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test limbo_poll_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test control_test tm_stripe_test tm_protocol_test"
+SUITES="tm_core_test tm_privatization_test dstruct_test tm_engine_edge_test quiesce_stress_test limbo_poll_test sync_stress_test obs_test metrics_test site_overflow_test fault_injection_test governor_test control_test tm_stripe_test tm_protocol_test bzip_test bzip_fuzz_test pipez_test"
+# Single-threaded suites give TSan nothing to check, and bzip_test's
+# brute-force rotation sort takes minutes under it: ASan only.
+ASAN_ONLY_SUITES="bzip_test bzip_fuzz_test"
 
 # Seeded fault matrix: rerun the suites most sensitive to the perturbed
 # windows with the env-armed chaos plan, so the sanitizers watch the Dekker
@@ -71,6 +80,9 @@ CTL_PLAN="delay@ctl_tick=0.5/20000,yield@ctl_tick=0.3"
 run_preset() {
   local name=$1 flags=$2
   for test in $SUITES; do
+    if [ "$name" = tsan ] && [[ " $ASAN_ONLY_SUITES " == *" $test "* ]]; then
+      continue
+    fi
     echo "== $test ($name)"
     # shellcheck disable=SC2086
     $CXX $flags -fno-omit-frame-pointer -g -std=c++20 -Isrc -Itests \

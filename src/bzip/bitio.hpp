@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace tle::bzip {
@@ -36,37 +37,73 @@ class BitWriter {
   unsigned fill_ = 0;
 };
 
+/// Reads through a 64-bit window whose top `count_` bits are the next bits
+/// of the stream. Bits past the end of the buffer read as zero, so peek()
+/// never fails; consume() is where an overrun is reported.
 class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
 
-  /// Read `nbits` (MSB first). Returns false on underrun.
+  /// The next `nbits` (1..32) bits, MSB first, without consuming them.
+  std::uint32_t peek(unsigned nbits) {
+    if (count_ < nbits) refill();
+    return static_cast<std::uint32_t>(window_ >> (64 - nbits));
+  }
+
+  /// Drop `nbits` bits, at most as many as the last peek() asked for.
+  /// Returns false if that reads past the end of the buffer.
+  bool consume(unsigned nbits) {
+    window_ <<= nbits;
+    count_ -= nbits;
+    return bits_consumed() <= size_ * 8;
+  }
+
+  /// Read `nbits` (MSB first, nbits in [0, 64]). Returns false on underrun.
   bool get(unsigned nbits, std::uint64_t* out) {
-    while (fill_ < nbits) {
-      if (pos_ >= size_) return false;
-      acc_ = (acc_ << 8) | data_[pos_++];
-      fill_ += 8;
+    if (nbits > 32) {
+      std::uint64_t hi = 0, lo = 0;
+      if (!get(nbits - 32, &hi) || !get(32, &lo)) return false;
+      *out = hi << 32 | lo;
+      return true;
     }
-    fill_ -= nbits;
-    *out = (acc_ >> fill_) & ((nbits >= 64 ? 0 : (1ULL << nbits)) - 1);
-    return true;
+    if (nbits == 0) {
+      *out = 0;
+      return true;
+    }
+    *out = peek(nbits);
+    return consume(nbits);
   }
 
-  /// Read a single bit; -1 on underrun.
-  int get_bit() {
-    std::uint64_t v;
-    return get(1, &v) ? static_cast<int>(v) : -1;
-  }
-
-  std::size_t bits_consumed() const noexcept { return pos_ * 8 - fill_; }
+  /// Bits consumed so far, counting any read past the end.
+  std::size_t bits_consumed() const noexcept { return pos_ * 8 - count_; }
 
  private:
+  /// Top the window up to at least 56 bits.
+  void refill() {
+    if (pos_ + 8 <= size_) {
+      // Whole-word load. Bits below the refilled bytes are the stream's own
+      // next bits, so the next refill ORs the same values over them.
+      std::uint64_t w = 0;
+      for (int i = 0; i < 8; ++i) w = w << 8 | data_[pos_ + i];
+      window_ |= w >> count_;
+      pos_ += (63 - count_) >> 3;
+      count_ |= 56;
+      return;
+    }
+    while (count_ <= 56) {
+      const std::uint64_t b = pos_ < size_ ? data_[pos_] : 0;
+      window_ |= b << (56 - count_);
+      ++pos_;  // counts the zero padding too
+      count_ += 8;
+    }
+  }
+
   const std::uint8_t* data_;
   std::size_t size_;
-  std::size_t pos_ = 0;
-  std::uint64_t acc_ = 0;
-  unsigned fill_ = 0;
+  std::size_t pos_ = 0;  ///< bytes loaded into the window, padding included
+  std::uint64_t window_ = 0;
+  unsigned count_ = 0;
 };
 
 }  // namespace tle::bzip

@@ -71,29 +71,35 @@ BwtResult bwt_forward(const std::uint8_t* data, std::size_t n) {
   return out;
 }
 
-std::vector<std::uint8_t> bwt_inverse(const std::uint8_t* last_column,
-                                      std::size_t n,
-                                      std::uint32_t primary_index) {
-  std::vector<std::uint8_t> out;
-  if (n == 0) return out;
-  // base[c]: first row of the sorted (first) column holding byte c.
-  std::uint32_t counts[256] = {};
-  for (std::size_t j = 0; j < n; ++j) ++counts[last_column[j]];
+void bwt_link(std::uint32_t* tt, std::size_t n, const std::uint32_t* counts) {
+  // base[c]: next free first-column row holding byte c. Row j of the last
+  // column is the first-column row base[tt[j]], whose successor is row j.
   std::uint32_t base[256];
   std::uint32_t sum = 0;
   for (int c = 0; c < 256; ++c) {
     base[c] = sum;
     sum += counts[c];
   }
-  // tt[f] = row of the last column that maps to first-column position f.
-  std::vector<std::uint32_t> tt(n);
-  for (std::size_t j = 0; j < n; ++j) tt[base[last_column[j]]++] = static_cast<std::uint32_t>(j);
+  for (std::size_t j = 0; j < n; ++j)
+    tt[base[tt[j] & 0xFF]++] |= static_cast<std::uint32_t>(j) << 8;
+}
+
+std::vector<std::uint8_t> bwt_inverse(const std::uint8_t* last_column,
+                                      std::size_t n,
+                                      std::uint32_t primary_index) {
+  std::vector<std::uint8_t> out;
+  if (n == 0) return out;
+  std::uint32_t counts[256] = {};
+  std::vector<std::uint32_t> tt(last_column, last_column + n);
+  for (std::size_t j = 0; j < n; ++j) ++counts[last_column[j]];
+  bwt_link(tt.data(), n, counts);
 
   out.resize(n);
-  std::uint32_t p = tt[primary_index];
+  std::uint32_t p = tt[primary_index] >> 8;
   for (std::size_t i = 0; i < n; ++i) {
-    out[i] = last_column[p];
-    p = tt[p];
+    const std::uint32_t e = tt[p];
+    out[i] = static_cast<std::uint8_t>(e);
+    p = e >> 8;
   }
   return out;
 }

@@ -91,6 +91,7 @@ std::vector<std::uint32_t> canonical_codes(
 }
 
 bool HuffmanDecoder::init(const std::vector<std::uint8_t>& lengths) {
+  if (lengths.size() > (1u << (16 - kLenBits))) return false;  // fast_ packing
   std::fill(std::begin(count_), std::end(count_), 0u);
   for (auto l : lengths) {
     if (l > kMaxCodeLen) return false;
@@ -117,17 +118,29 @@ bool HuffmanDecoder::init(const std::vector<std::uint8_t>& lengths) {
   for (std::size_t s = 0; s < lengths.size(); ++s)
     if (lengths[s])
       sorted_symbols_[pos[lengths[s]]++] = static_cast<std::uint16_t>(s);
+
+  // Every kFastBits-bit window that starts with a code of length l <=
+  // kFastBits maps to that code's symbol. The Kraft check keeps each code's
+  // span inside the table.
+  std::fill(std::begin(fast_), std::end(fast_), std::uint16_t{0});
+  for (unsigned l = 1; l <= kFastBits; ++l) {
+    const unsigned shift = kFastBits - l;
+    for (std::uint32_t k = 0; k < count_[l]; ++k) {
+      const std::uint32_t sym = sorted_symbols_[offset_[l] + k];
+      const auto entry = static_cast<std::uint16_t>(sym << kLenBits | l);
+      const std::uint32_t first = (first_code_[l] + k) << shift;
+      std::fill(fast_ + first, fast_ + first + (1u << shift), entry);
+    }
+  }
   return !sorted_symbols_.empty();
 }
 
-int HuffmanDecoder::decode(BitReader& in) const {
-  std::uint32_t code = 0;
-  for (unsigned l = 1; l <= kMaxCodeLen; ++l) {
-    const int bit = in.get_bit();
-    if (bit < 0) return -1;
-    code = (code << 1) | static_cast<std::uint32_t>(bit);
+int HuffmanDecoder::decode_long(std::uint32_t bits, BitReader& in) const {
+  for (unsigned l = kFastBits + 1; l <= kMaxCodeLen; ++l) {
+    const std::uint32_t code = bits >> (kMaxCodeLen - l);
     if (count_[l] && code - first_code_[l] < count_[l])
-      return sorted_symbols_[offset_[l] + (code - first_code_[l])];
+      return in.consume(l) ? sorted_symbols_[offset_[l] + (code - first_code_[l])]
+                           : -1;
   }
   return -1;
 }

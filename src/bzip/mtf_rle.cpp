@@ -122,25 +122,29 @@ std::vector<std::uint16_t> zrle_encode(const std::uint8_t* mtf, std::size_t n) {
 }
 
 bool zrle_decode(const std::uint16_t* symbols, std::size_t n,
-                 std::vector<std::uint8_t>* out) {
+                 std::size_t limit, std::vector<std::uint8_t>* out) {
+  if (out->size() > limit) return false;
+  // The run stays within `room`, and a run of k digits is at least 2^k - 1,
+  // so neither run nor mult can overflow.
+  std::size_t room = limit - out->size();
   std::size_t run = 0;
   std::size_t mult = 1;
-  auto flush_run = [&] {
-    out->insert(out->end(), run, std::uint8_t{0});
-    run = 0;
-    mult = 1;
-  };
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint16_t s = symbols[i];
     if (s == kRunA || s == kRunB) {
       run += (s == kRunA ? 1 : 2) * mult;
       mult *= 2;
+      if (run > room) return false;
       continue;
     }
-    flush_run();
+    out->insert(out->end(), run, std::uint8_t{0});
+    room -= run;
+    run = 0;
+    mult = 1;
     if (s == kEob) return i + 1 == n;  // EOB must be the final symbol
-    if (s > 256) return false;
+    if (s > 256 || room == 0) return false;
     out->push_back(static_cast<std::uint8_t>(s - 1));
+    --room;
   }
   return false;  // missing EOB
 }

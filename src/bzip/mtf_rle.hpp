@@ -35,9 +35,11 @@ inline constexpr std::size_t kSymbolAlphabet = 258;
 /// MTF bytes -> ZRLE symbol stream (terminated by EOB).
 std::vector<std::uint16_t> zrle_encode(const std::uint8_t* mtf, std::size_t n);
 
-/// ZRLE symbols (must end in EOB) -> MTF bytes. Returns false on a malformed
-/// stream.
+/// ZRLE symbols (must end in EOB) -> MTF bytes appended to `out`. Returns
+/// false on a malformed stream or one that would grow `out` past `limit`
+/// bytes: RUNA/RUNB digits double a run's weight each, so a few dozen of
+/// them declare an astronomically long run.
 bool zrle_decode(const std::uint16_t* symbols, std::size_t n,
-                 std::vector<std::uint8_t>* out);
+                 std::size_t limit, std::vector<std::uint8_t>* out);
 
 }  // namespace tle::bzip

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "bzip/block_codec.hpp"
@@ -114,6 +115,8 @@ bool get_u32(const std::uint8_t* d, std::size_t n, std::size_t* pos,
 std::vector<std::uint8_t> compress(const std::vector<std::uint8_t>& input,
                                    const Config& cfg, RunStats* stats) {
   Stopwatch sw;
+  if (cfg.block_size > bzip::kMaxBlockBytes)
+    throw std::invalid_argument("pipez: block_size exceeds bzip::kMaxBlockBytes");
   const std::size_t bs = cfg.block_size ? cfg.block_size : 1;
   const std::size_t nblocks = input.empty() ? 0 : (input.size() + bs - 1) / bs;
 
@@ -199,6 +202,14 @@ DecompressResult decompress(const std::vector<std::uint8_t>& stream,
       !get_u32(stream.data(), stream.size(), &pos, &bs) ||
       !get_u32(stream.data(), stream.size(), &pos, &orig)) {
     res.error = "truncated stream header";
+    return res;
+  }
+  // Bound the header's sizes before allocating from them: each block needs
+  // at least its 4-byte frame length, and no block holds more than bs bytes.
+  if (nblocks > (stream.size() - pos) / 4 || bs == 0 ||
+      bs > bzip::kMaxBlockBytes ||
+      orig > static_cast<std::uint64_t>(nblocks) * bs) {
+    res.error = "corrupt stream header";
     return res;
   }
 

@@ -22,7 +22,8 @@ namespace tle::pipez {
 
 struct Config {
   int worker_threads = 4;              ///< consumer (compressor) threads
-  std::size_t block_size = 900000;     ///< paper default "900K"
+  std::size_t block_size = 900000;     ///< paper default "900K"; at most
+                                       ///< bzip::kMaxBlockBytes
   std::size_t queue_capacity = 16;     ///< pending block descriptors
   bool verbose_log = false;            ///< exercise deferred logging (§VI-c)
 };
@@ -34,7 +35,8 @@ struct RunStats {
   double seconds = 0;
 };
 
-/// Compress `input` into a framed multi-block stream.
+/// Compress `input` into a framed multi-block stream. Throws
+/// std::invalid_argument if cfg.block_size exceeds bzip::kMaxBlockBytes.
 std::vector<std::uint8_t> compress(const std::vector<std::uint8_t>& input,
                                    const Config& cfg, RunStats* stats = nullptr);
 

@@ -134,6 +134,10 @@ FileResult compress_file(const std::string& input_path,
                          const std::string& output_path, const Config& cfg) {
   Stopwatch sw;
   FileResult res;
+  if (cfg.block_size > bzip::kMaxBlockBytes) {
+    res.error = "block size exceeds bzip::kMaxBlockBytes";
+    return res;
+  }
   std::ifstream in(input_path, std::ios::binary);
   if (!in) {
     res.error = "cannot open input: " + input_path;
@@ -237,11 +241,15 @@ FileResult decompress_file(const std::string& input_path,
                            const std::string& output_path, const Config& cfg) {
   Stopwatch sw;
   FileResult res;
-  std::ifstream in(input_path, std::ios::binary);
-  if (!in) {
+  // Frame lengths are checked against the bytes left before anything is
+  // sized from them, so the input must be a file of known size.
+  std::ifstream in(input_path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0 || !in.seekg(0)) {
     res.error = "cannot open input: " + input_path;
     return res;
   }
+  std::uint64_t left = static_cast<std::uint64_t>(size);
   char magic[4];
   std::uint32_t bs = 0;
   if (!in.read(magic, 4) || std::memcmp(magic, kFileMagic, 4) != 0 ||
@@ -249,6 +257,7 @@ FileResult decompress_file(const std::string& input_path,
     res.error = "bad file magic";
     return res;
   }
+  left -= 8;
 
   // Load the frames (compressed data is the small side; random access is
   // needed for parallel decode).
@@ -262,7 +271,13 @@ FileResult decompress_file(const std::string& input_path,
       res.error = "truncated stream (missing end marker)";
       return res;
     }
+    left -= 4;
     if (len == 0) break;
+    if (len > left) {
+      res.error = "truncated frame";
+      return res;
+    }
+    left -= len;
     Frame f;
     f.data.resize(len);
     if (!in.read(reinterpret_cast<char*>(f.data.data()), len)) {

@@ -43,8 +43,8 @@ std::size_t put_ue(bzip::BitWriter& bw, std::uint32_t v) {
 bool get_ue(bzip::BitReader& br, std::uint32_t* v) {
   int zeros = 0;
   for (;;) {
-    const int b = br.get_bit();
-    if (b < 0) return false;
+    std::uint64_t b;
+    if (!br.get(1, &b)) return false;
     if (b) break;
     if (++zeros > 31) return false;
   }
@@ -164,8 +164,8 @@ bool entropy_decode_block(bzip::BitReader& br, std::int32_t coeffs[kBlockSize]) 
     if (pos >= kBlockSize) return false;
     std::uint32_t mag;
     if (!get_ue(br, &mag)) return false;
-    const int sign = br.get_bit();
-    if (sign < 0) return false;
+    std::uint64_t sign;
+    if (!br.get(1, &sign)) return false;
     const std::int32_t level = static_cast<std::int32_t>(mag) + 1;
     coeffs[kZigzag[pos]] = sign ? -level : level;
     ++pos;

@@ -59,6 +59,26 @@ TEST(BitIo, ReaderDetectsUnderrun) {
   std::uint64_t v;
   EXPECT_TRUE(r.get(8, &v));  // padded byte is readable
   EXPECT_FALSE(r.get(8, &v));
+
+  // peek() reads zeros past the end; consume() reports the overrun.
+  BitReader p(buf.data(), buf.size());
+  EXPECT_EQ(p.peek(12), 0xF00u);
+  EXPECT_TRUE(p.consume(6));
+  EXPECT_EQ(p.peek(20), 0u);
+  EXPECT_TRUE(p.consume(2));  // exactly at the end
+  EXPECT_EQ(p.bits_consumed(), 8u);
+  EXPECT_EQ(p.peek(1), 0u);
+  EXPECT_FALSE(p.consume(1));
+
+  // Past a whole-word refill: 9 bytes, then one bit too many.
+  const std::vector<std::uint8_t> nine(9, 0xA5);
+  BitReader q(nine.data(), nine.size());
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_EQ(q.peek(8), 0xA5u) << i;
+    ASSERT_TRUE(q.consume(8)) << i;
+  }
+  EXPECT_EQ(q.peek(32), 0u);
+  EXPECT_FALSE(q.consume(1));
 }
 
 TEST(BitIo, ManySingleBits) {
@@ -66,7 +86,11 @@ TEST(BitIo, ManySingleBits) {
   for (int i = 0; i < 1000; ++i) w.put(static_cast<std::uint64_t>(i % 2), 1);
   auto buf = w.finish();
   BitReader r(buf.data(), buf.size());
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(r.get_bit(), i % 2) << i;
+  std::uint64_t v;
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(r.get(1, &v)) << i;
+    EXPECT_EQ(v, static_cast<std::uint64_t>(i % 2)) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -270,7 +294,7 @@ TEST(Zrle, ZeroRunsEncodeCompactly) {
   const auto sym = zrle_encode(in.data(), in.size());
   EXPECT_LE(sym.size(), 12u);  // ~log2(1000) digits + EOB
   std::vector<std::uint8_t> out;
-  ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), &out));
+  ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), in.size(), &out));
   EXPECT_EQ(out, in);
 }
 
@@ -280,7 +304,7 @@ TEST(Zrle, AllRunLengthsRoundTrip) {
     in.push_back(42);
     const auto sym = zrle_encode(in.data(), in.size());
     std::vector<std::uint8_t> out;
-    ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), &out)) << len;
+    ASSERT_TRUE(zrle_decode(sym.data(), sym.size(), in.size(), &out)) << len;
     ASSERT_EQ(out, in) << len;
   }
 }
@@ -288,13 +312,13 @@ TEST(Zrle, AllRunLengthsRoundTrip) {
 TEST(Zrle, RejectsMissingEob) {
   const std::uint16_t syms[] = {kRunA, 5};
   std::vector<std::uint8_t> out;
-  EXPECT_FALSE(zrle_decode(syms, 2, &out));
+  EXPECT_FALSE(zrle_decode(syms, 2, 100, &out));
 }
 
 TEST(Zrle, RejectsTrailingGarbageAfterEob) {
   const std::uint16_t syms[] = {kEob, kRunA};
   std::vector<std::uint8_t> out;
-  EXPECT_FALSE(zrle_decode(syms, 2, &out));
+  EXPECT_FALSE(zrle_decode(syms, 2, 100, &out));
 }
 
 // ---------------------------------------------------------------------------
@@ -339,6 +363,30 @@ TEST(Huffman, DepthLimitRespected) {
   }
   const auto lens = huffman_code_lengths(freqs);
   for (auto l : lens) EXPECT_LE(l, kMaxCodeLen);
+  const std::uint8_t deepest = *std::max_element(lens.begin(), lens.end());
+  ASSERT_GT(deepest, HuffmanDecoder::kFastBits) << "must reach the slow path";
+
+  // Every symbol round-trips, including the codes longer than the fast
+  // table.
+  const auto codes = canonical_codes(lens);
+  BitWriter w;
+  for (std::size_t s = 0; s < lens.size(); ++s) w.put(codes[s], lens[s]);
+  const auto buf = w.finish();
+  HuffmanDecoder dec;
+  ASSERT_TRUE(dec.init(lens));
+  BitReader r(buf.data(), buf.size());
+  for (std::size_t s = 0; s < lens.size(); ++s)
+    ASSERT_EQ(dec.decode(r), static_cast<int>(s)) << "symbol " << s;
+
+  // A stream cut inside a long code fails instead of decoding the zero
+  // padding.
+  const auto longest = static_cast<std::size_t>(
+      std::max_element(lens.begin(), lens.end()) - lens.begin());
+  BitWriter t;
+  t.put(codes[longest], lens[longest]);
+  const auto cut = t.finish();
+  BitReader tr(cut.data(), (lens[longest] - 1) / 8);
+  EXPECT_EQ(dec.decode(tr), -1);
 }
 
 TEST(Huffman, EncodeDecodeRandomStream) {
@@ -484,6 +532,31 @@ TEST(BlockCodec, DetectsTruncation) {
   }
   const auto dec = decompress_block(comp.data(), comp.size() - 5);
   EXPECT_FALSE(dec.ok);
+}
+
+// 40 RUNB digits declare a zero run of 2 * (2^40 - 1) bytes: far past the
+// block's declared size, which must bound it before anything is allocated.
+TEST(BlockCodec, RejectsUnboundedZeroRun) {
+  std::vector<std::uint16_t> syms(40, kRunB);
+  syms.push_back(kEob);
+  std::vector<std::uint8_t> mtf;
+  EXPECT_FALSE(zrle_decode(syms.data(), syms.size(), 100, &mtf));
+  EXPECT_LE(mtf.size(), 100u);
+
+  // The same payload as a block: RUNB and EOB get 1-bit codes (0 and 1).
+  BitWriter w;
+  const std::uint32_t header[] = {0x545A4231 /* "TZB1" */, 100, 0, 100, 0};
+  for (std::uint32_t word : header)
+    for (int k = 0; k < 4; ++k) w.put((word >> (8 * k)) & 0xFF, 8);
+  for (std::size_t s = 0; s < kSymbolAlphabet; ++s)
+    w.put(s == kRunB || s == kEob ? 1 : 0, 5);
+  for (int i = 0; i < 40; ++i) w.put(0, 1);
+  w.put(1, 1);
+  const auto block = w.finish();
+  DecodeResult dec;
+  ASSERT_NO_THROW(dec = decompress_block(block));
+  EXPECT_FALSE(dec.ok);
+  EXPECT_FALSE(dec.error.empty());
 }
 
 TEST(BlockCodec, RejectsGarbageInput) {

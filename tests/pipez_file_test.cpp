@@ -135,9 +135,19 @@ TEST(PipezFile, TruncatedArchiveRejected) {
   cfg.block_size = 20000;
   ASSERT_TRUE(compress_file(input.path(), packed.path(), cfg).ok);
   auto bytes = read_file(packed.path());
+  auto corrupt_len = bytes;
   bytes.resize(bytes.size() - 10);  // lose the trailer
   write_file(packed.path(), bytes);
   EXPECT_FALSE(decompress_file(packed.path(), restored.path(), cfg).ok);
+
+  // A first frame length past the end of the file fails before anything is
+  // sized from it.
+  corrupt_len[11] = 0xFF;  // top byte of the frame length after the header
+  write_file(packed.path(), corrupt_len);
+  FileResult d;
+  ASSERT_NO_THROW(d = decompress_file(packed.path(), restored.path(), cfg));
+  EXPECT_FALSE(d.ok);
+  EXPECT_FALSE(d.error.empty());
 }
 
 TEST(PipezFile, FileAndMemoryFormatsCompressEqually) {

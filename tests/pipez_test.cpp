@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "bzip/block_codec.hpp"
 #include "pipez/pipeline.hpp"
 #include "test_support.hpp"
 
@@ -102,6 +104,30 @@ TEST(Pipez, CorruptStreamIsRejectedNotCrashed) {
   const auto back = decompress(compressed, cfg);
   EXPECT_FALSE(back.ok);
   EXPECT_FALSE(back.error.empty());
+}
+
+// Header words sized the block table, the output collector and the output
+// buffer before any check: oversized values must fail, not throw.
+TEST(Pipez, CorruptHeaderSizesAreRejected) {
+  ModeGuard g(ExecMode::Lock);
+  Config cfg;
+  cfg.worker_threads = 2;
+  cfg.block_size = 32768;
+  const auto input = make_corpus(200000, 3);
+  const auto compressed = compress(input, cfg);
+  // Stream header: magic | nblocks | block_size | orig_size (u32 LE each).
+  for (std::size_t at : {6u, 7u, 10u, 11u, 14u, 15u}) {
+    auto bad = compressed;
+    bad[at] = 0xFF;
+    DecompressResult back;
+    ASSERT_NO_THROW(back = decompress(bad, cfg)) << "byte " << at;
+    EXPECT_FALSE(back.ok) << "byte " << at;
+    EXPECT_FALSE(back.error.empty()) << "byte " << at;
+  }
+
+  Config too_big = cfg;
+  too_big.block_size = bzip::kMaxBlockBytes + 1;
+  EXPECT_THROW((void)compress(input, too_big), std::invalid_argument);
 }
 
 TEST(Pipez, TruncatedStreamIsRejected) {
